@@ -1,11 +1,11 @@
 """Kernel ablation and scaling study (extension; the paper is
 correctness-only, DESIGN.md exp id ``scaling``).
 
-Measures the generic fold kernel against the vectorised reduceat /
+Measures the generic fold kernel against the vectorised sortmerge /
 scipy / dense-blocked kernels across graph size and op-pair, on R-MAT
 multigraphs (skewed degrees — the representative GraphBLAS workload).
 The headline shape: vectorised kernels win beyond a few hundred nonzeros,
-with scipy fastest for ``+.×`` and ``reduceat`` the general-semiring
+with scipy fastest for ``+.×`` and ``sortmerge`` the general-semiring
 workhorse; the dense kernel's cube cost crosses over at high density.
 """
 
@@ -43,11 +43,11 @@ def test_generic_kernel(benchmark, scale, n_edges, pair_name):
 
 @pytest.mark.parametrize("scale,n_edges", SIZES)
 @pytest.mark.parametrize("pair_name", ["plus_times", "min_plus"])
-def test_reduceat_kernel(benchmark, scale, n_edges, pair_name):
+def test_sortmerge_kernel(benchmark, scale, n_edges, pair_name):
     a, b, pair = _operands(scale, n_edges, pair_name)
     ref = multiply_generic(a, b, pair)
     result = benchmark(
-        lambda: multiply_vectorized(a, b, pair, kernel="reduceat"))
+        lambda: multiply_vectorized(a, b, pair, kernel="sortmerge"))
     assert result.allclose(ref)
 
 

@@ -1,7 +1,7 @@
 """Parallel-decomposition bench: row-partitioned multiply ablation.
 
 Times serial vs thread-pooled row-block multiplication at two sizes and
-for both the generic and reduceat kernels — the 1-D decomposition
+for both the generic and sortmerge kernels — the 1-D decomposition
 ablation.  Correctness against the unpartitioned product is asserted in
 every case.
 """
@@ -38,9 +38,9 @@ def test_parallel_generic(benchmark, executor, scale, n_edges):
 
 @pytest.mark.parametrize("executor", ["serial", "thread"])
 @pytest.mark.parametrize("scale,n_edges", [(9, 4000)])
-def test_parallel_reduceat(benchmark, executor, scale, n_edges):
+def test_parallel_sortmerge(benchmark, executor, scale, n_edges):
     a, b, pair = _operands(scale, n_edges, "min_plus")
     want = multiply(a, b, pair, kernel="generic")
     got = benchmark(lambda: parallel_multiply(
-        a, b, pair, n_workers=4, executor=executor, kernel="reduceat"))
+        a, b, pair, n_workers=4, executor=executor, kernel="sortmerge"))
     assert got.allclose(want)

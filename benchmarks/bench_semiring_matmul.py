@@ -7,8 +7,8 @@ pure-Python generic fold.  This script measures that gap on two axes:
 
 **matmul** — ``C = A ⊕.⊗ B`` on random square operands sized so the
 product evaluates ~1M semiring terms, for ``min.+`` and ``max.min``:
-``sortmerge`` vs ``generic`` (vs ``reduceat`` as a cross-check, and a
-``plus_times`` row with ``scipy`` for context).  The headline is the
+``sortmerge`` vs ``generic`` (and a ``plus_times`` row with ``scipy``
+for context).  The headline is the
 min.+ sortmerge-over-generic speedup, expected ≥10× at this scale.
 
 **4-hop** — ``x ⊕.⊗ A⁴`` over a ≥1M-edge adjacency via the fused
@@ -80,7 +80,7 @@ def _timed(fn, repeat: int):
 
 
 def _matmul_row(pair_name: str, n: int, nnz: int, repeat: int,
-                *, with_reduceat: bool, with_scipy: bool) -> dict:
+                *, with_scipy: bool) -> dict:
     pair = get_op_pair(pair_name)
     a = _random_square(n, nnz, float(pair.zero), seed=101)
     b = _random_square(n, nnz, float(pair.zero), seed=202)
@@ -103,11 +103,6 @@ def _matmul_row(pair_name: str, n: int, nnz: int, repeat: int,
         },
         "speedup_sortmerge_vs_generic": round(gen_s / sm_s, 3),
     }
-    if with_reduceat:
-        ra_s, ra = _timed(lambda: multiply(a, b, pair, kernel="reduceat"),
-                          repeat)
-        assert sm.allclose(ra), pair_name
-        row["seconds"]["reduceat"] = round(ra_s, 4)
     if with_scipy:
         sc_s, sc = _timed(lambda: multiply(a, b, pair, kernel="scipy"),
                           repeat)
@@ -152,13 +147,12 @@ def run(quick: bool) -> dict:
     # ~1M semiring terms in both modes — the gap this kernel closes is
     # the headline and must be measured at scale even in CI smoke.
     n, nnz = 4000, 65_536
-    matmuls = [_matmul_row("min_plus", n, nnz, repeat,
-                           with_reduceat=not quick, with_scipy=False)]
+    matmuls = [_matmul_row("min_plus", n, nnz, repeat, with_scipy=False)]
     if not quick:
         matmuls.append(_matmul_row("max_min", n, nnz, repeat,
-                                   with_reduceat=True, with_scipy=False))
+                                   with_scipy=False))
         matmuls.append(_matmul_row("plus_times", n, nnz, repeat,
-                                   with_reduceat=False, with_scipy=True))
+                                   with_scipy=True))
     khop = _khop_row(1 << 17, 1_000_000, 4, repeat)
     return {
         "benchmark": "bench_semiring_matmul",

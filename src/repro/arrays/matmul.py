@@ -27,19 +27,21 @@ be associative or commutative; ``⊗`` is always applied as
 The ``kernel`` argument selects an implementation: ``"generic"`` (pure
 Python, any value set), ``"sortmerge"`` (this module's vectorised
 semiring SpGEMM for *any* op-pair with ufunc forms), or the kernels of
-:mod:`repro.arrays.sparse_backend` (``"scipy"``, ``"reduceat"``,
-``"dense_blocked"``).  ``"auto"`` picks the fastest applicable one; all
-kernels are property-tested to agree with ``"generic"``.
+:mod:`repro.arrays.sparse_backend` (``"scipy"``, ``"dense_blocked"``).
+``"auto"`` picks the fastest applicable one; all kernels are
+property-tested to agree with ``"generic"``.
 
-The ``sortmerge`` kernel is the whole-catalog speed path: it joins A's
-cached CSC against B's cached CSR on the shared inner coordinate codes
-(a sort-merge join — ``searchsorted`` range expansion over the codes
-both sides keep sorted), applies ``⊗`` as one ufunc call over the
-gathered value arrays, then groups the ``(row, col)`` output pairs with
-a stable lexicographic code sort and folds ``⊕`` with
-``np.ufunc.reduceat``.  No scipy, no Python-level inner loop — so
-``min.+``, ``max.min`` and every other certified ufunc pair run at
-vectorised speed, not just ``+.×``.
+The ``sortmerge`` kernel is the whole-catalog speed path.  It reads A
+in CSC order and B in CSR order, both sorted by the shared inner
+coordinate code.  One ``bincount`` offsets pass gives every inner
+code's run in B; the terms ``A(i,k) ⊗ B(k,j)`` are expanded in A's
+inner-sorted order with one ``⊗`` ufunc call; one in-place sort of a
+packed ``(row, col)`` key, tagged with each term's generation index,
+groups them; ``ufunc.at`` left-folds ``⊕`` within each group.  The tag
+makes the grouping stable, so every group folds in inner-key order as
+the generic kernel does, for any ``⊕``.  No scipy, no Python-level
+inner loop — so ``min.+``, ``max.min`` and every other certified ufunc
+pair run at vectorised speed, not just ``+.×``.
 """
 
 from __future__ import annotations
@@ -158,7 +160,8 @@ def calibrated_tiny_pick(kernel: str, nnz_a: float, nnz_b: float,
 
 
 def _pick_kernel(a: AssociativeArray, b: AssociativeArray,
-                 op_pair: OpPair, mode: str) -> str:
+                 op_pair: OpPair, mode: str, *,
+                 transposed: bool = False) -> str:
     """Choose the fastest applicable kernel.
 
     Vectorised kernels need numeric values and NumPy ufunc forms of both
@@ -170,19 +173,32 @@ def _pick_kernel(a: AssociativeArray, b: AssociativeArray,
     still wins (:func:`calibrated_tiny_pick`); operands that already
     carry a numeric backend skip that bailout — their compiled form is
     paid for, so staying vectorised is free.
+
+    ``transposed=True`` decides ``aᵀ ⊕.⊗ b`` without building ``aᵀ``,
+    and decides it as this function would on ``a.transpose()``: that
+    transpose is numeric-backed exactly when ``a`` already holds a
+    columnar form (native, or a cached promotion), since below the size
+    bailout :meth:`AssociativeArray.transpose` never promotes.
     """
     from repro.arrays import sparse_backend
     from repro.arrays.backend import VECTORIZE_MIN_NNZ
+    if transposed:
+        a_native = a.backend == "numeric" \
+            or a._cache.get("numeric_backend") is not None
+        out_keys, inner_keys = a.col_keys, a.row_keys
+    else:
+        a_native = a.backend == "numeric"
+        out_keys, inner_keys = a.row_keys, a.col_keys
     # Size bailout first: vectorizable() promotes dict operands to the
     # columnar backend, which tiny operands should never pay for.
-    native = a.backend == "numeric" and b.backend == "numeric"
+    native = a_native and b.backend == "numeric"
     if not native and a.nnz + b.nnz < VECTORIZE_MIN_NNZ \
-            and len(a.row_keys) * len(b.col_keys) < 4096:
+            and len(out_keys) * len(b.col_keys) < 4096:
         if not (op_pair.has_ufuncs and op_pair.is_numeric):
             return "generic"
         candidate = preferred_vector_kernel(op_pair, mode)
         pick = calibrated_tiny_pick(candidate, float(a.nnz), float(b.nnz),
-                                    float(len(a.col_keys)))
+                                    float(len(inner_keys)))
         if pick != candidate:       # "generic" or None (uncalibrated)
             return "generic"
         # Measured throughput says vectorise even here: fall through to
@@ -250,28 +266,42 @@ def multiply_generic(
 # The sortmerge kernel: vectorised semiring SpGEMM for any ufunc op-pair
 # ---------------------------------------------------------------------------
 
-def _sorted_unique(codes: np.ndarray) -> np.ndarray:
-    """Distinct values of an ascending int64 array (one linear pass)."""
-    if codes.size == 0:
-        return codes
-    keep = np.empty(codes.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
-    return codes[keep]
-
-
-def _range_expand(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+def _range_expand(starts: np.ndarray, lens: np.ndarray,
+                  total: int) -> np.ndarray:
     """Concatenated ``arange(starts[i], starts[i] + lens[i])`` ranges.
 
-    The vectorised range-expansion idiom: ``repeat`` the starts, then
-    add each element's offset within its own range.
+    ``total`` is ``lens.sum()``.  Element ``t`` of range ``i`` is
+    ``t + (starts[i] - offset[i])``, where ``offset[i]`` is where range
+    ``i`` begins in the output: one ``repeat`` of that shift plus one
+    ``arange``.
     """
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    cum = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    within = np.arange(total, dtype=np.int64) - np.repeat(cum, lens)
-    return np.repeat(starts, lens) + within
+    offsets = np.cumsum(lens) - lens
+    return np.repeat(starts - offsets, lens) + np.arange(total,
+                                                          dtype=np.int64)
+
+
+def _stable_key_order(key: np.ndarray,
+                      key_bound: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``order = np.argsort(key, kind="stable")`` and ``key[order]``.
+
+    ``key`` holds int64 values in ``[0, key_bound)``.  Each key is
+    shifted left far enough to carry its own index in the low bits, so
+    every packed value is unique: one in-place unstable ``sort`` then
+    yields exactly the stable order, and the low bits read it back.
+    Only when key plus tag would need more than 63 bits does this fall
+    back to a stable ``argsort``.
+    """
+    n = int(key.size)
+    tag_bits = (n - 1).bit_length() if n > 1 else 0
+    if (key_bound - 1).bit_length() + tag_bits > 63:
+        order = np.argsort(key, kind="stable")
+        return order, key[order]
+    packed = np.left_shift(key, tag_bits)
+    packed |= np.arange(n, dtype=np.int64)
+    packed.sort()
+    order = packed & ((1 << tag_bits) - 1)
+    packed >>= tag_bits
+    return order, packed
 
 
 def fold_grouped(
@@ -284,10 +314,16 @@ def fold_grouped(
     ``sort_keys`` are parallel int64 arrays already sorted so that equal
     key tuples are adjacent **and terms within a group sit in fold
     order** (ascending inner key — the caller's stable sort guarantees
-    it).  Returns the per-group key arrays and the ``reduceat``-folded
-    values.  Shared by the sortmerge product (grouping on (row, col))
-    and the vectorised vector–matrix relaxation (grouping on the output
+    it).  Returns the per-group key arrays and the folded values.
+    Shared by the sortmerge product (grouping on (row, col)) and the
+    vectorised vector–matrix relaxation (grouping on the output
     coordinate alone).
+
+    Each group starts from its first term and ``add_ufunc.at`` applies
+    the others one by one, in order: a strict left fold for every
+    ``⊕``.  ``ufunc.reduceat`` is not one — ``np.add.reduceat`` adds a
+    segment's first term to the pairwise sum of the rest, so
+    ``3 ⊕ 1e16 ⊕ −1e16`` comes out 3 instead of the left fold's 4.
     """
     n = int(vals.shape[0])
     if n == 0:
@@ -297,7 +333,10 @@ def fold_grouped(
     for k in sort_keys:
         np.logical_or(change[1:], k[1:] != k[:-1], out=change[1:])
     starts = np.flatnonzero(change)
-    reduced = add_ufunc.reduceat(vals, starts)
+    reduced = vals[starts]
+    if starts.size < n:
+        later = ~change
+        add_ufunc.at(reduced, np.cumsum(change)[later] - 1, vals[later])
     return tuple(k[starts] for k in sort_keys), reduced
 
 
@@ -311,18 +350,23 @@ def sortmerge_coo(
     Both operands arrive as COO triples **sorted ascending by inner
     code**: for ``A`` that is its CSC order (inner = column code, outer
     = row code), for ``B`` its CSR order (inner = row code, outer =
-    column code) — which is why the fused incidence-to-adjacency path
-    can feed ``E``'s natural (row, col)-sorted arrays directly as
-    ``Eᵀ``'s CSC without any re-sort.  Steps:
+    column code).  An incidence array ``E``'s own (row, col)-sorted
+    arrays are therefore ``Eᵀ``'s CSC as they stand, which is how
+    :func:`repro.core.construction.adjacency_array` builds
+    ``Eoutᵀ ⊕.⊗ Ein`` without a transpose.  Steps:
 
-    1. **join** — intersect the distinct inner codes and locate each
-       shared code's run on both sides with ``searchsorted``;
-    2. **expand** — enumerate every ``A(i,k) ⊗ B(k,j)`` term via range
-       expansion (shared codes ascending, so each output group's terms
-       are generated in ascending inner-key order);
+    1. **offsets** — one ``bincount`` + ``cumsum`` over ``b_inner``
+       gives every inner code's run in ``B``;
+    2. **expand** — walk ``A`` in its inner-sorted order and pair each
+       entry with its code's ``B`` run (range expansion), so each
+       output group's terms are generated in ascending inner-key order;
     3. **⊗** — one ufunc call over the gathered value arrays;
-    4. **group + ⊕** — stable lexsort by (row, col) and
-       ``ufunc.reduceat`` through :func:`fold_grouped`.
+    4. **group + ⊕** — one in-place sort of the packed
+       ``row * ncols + col`` key tagged with each term's generation
+       index (:func:`_stable_key_order`), then the left fold of
+       :func:`fold_grouped`.  The tag makes the order that of a stable
+       sort, so every ``(row, col)`` group folds ``⊕`` in inner-key
+       order exactly as the generic kernel does, whatever ``⊕`` is.
 
     Returns lex-sorted ``(rows, cols, vals)`` with exact zeros dropped,
     ready for ``AssociativeArray._from_numeric(presorted=True,
@@ -335,39 +379,43 @@ def sortmerge_coo(
     if a_vals.size == 0 or b_vals.size == 0:
         return empty
 
-    # 1. Sort-merge join on the shared inner coordinate codes.
-    shared = np.intersect1d(_sorted_unique(a_inner),
-                            _sorted_unique(b_inner), assume_unique=True)
-    if shared.size == 0:
+    # 1. B's run [b_ptr[k], b_ptr[k + 1]) for every inner code k.
+    n_inner = int(max(a_inner[-1], b_inner[-1])) + 1
+    b_ptr = np.zeros(n_inner + 1, dtype=np.int64)
+    np.cumsum(np.bincount(b_inner, minlength=n_inner), out=b_ptr[1:])
+    b_lo = b_ptr[a_inner]
+    fanout = b_ptr[a_inner + 1] - b_lo
+    total = int(fanout.sum())
+    if total == 0:
         return empty
-    a_lo = np.searchsorted(a_inner, shared, side="left")
-    a_hi = np.searchsorted(a_inner, shared, side="right")
-    b_lo = np.searchsorted(b_inner, shared, side="left")
-    b_hi = np.searchsorted(b_inner, shared, side="right")
-    a_runs = a_hi - a_lo
-    b_runs = b_hi - b_lo
 
-    # 2. Range expansion: every A entry of a shared code, then every
-    # (A entry, B entry) pair within that code.
-    a_take = _range_expand(a_lo, a_runs)
-    code_of = np.repeat(np.arange(shared.size, dtype=np.int64), a_runs)
-    fanout = b_runs[code_of]
-    b_take = _range_expand(b_lo[code_of], fanout)
-    out_rows = np.repeat(a_outer[a_take], fanout)
+    # 2. Every (A entry, B entry) pair sharing an inner code, in A's
+    # inner-sorted order.
+    b_take = _range_expand(b_lo, fanout, total)
+    out_rows = np.repeat(a_outer, fanout)
     out_cols = b_outer[b_take]
 
     # 3. One ⊗ over the gathered values (A-value ⊗ B-value, in order).
-    prods = mul_uf(np.repeat(a_vals[a_take], fanout), b_vals[b_take])
+    prods = mul_uf(np.repeat(a_vals, fanout), b_vals[b_take])
 
-    # 4. Stable group sort + ⊕ fold.  lexsort is stable, and step 2
-    # generated terms in ascending inner-code order, so within each
-    # (row, col) group the fold follows the inner key order exactly as
-    # the generic kernel does.
-    order = np.lexsort((out_cols, out_rows))
-    (grp_rows, grp_cols), reduced = fold_grouped(
-        (out_rows[order], out_cols[order]), prods[order], add_uf)
+    # 4. Group on the packed (row, col) key in generation order, fold ⊕.
+    ncols = int(b_outer.max()) + 1
+    key_bound = (int(a_outer.max()) + 1) * ncols
+    if key_bound > 1 << 63:
+        # The packed key itself would overflow int64.
+        order = np.lexsort((out_cols, out_rows))
+        (rows, cols), reduced = fold_grouped(
+            (out_rows[order], out_cols[order]), prods[order], add_uf)
+    else:
+        out_rows *= ncols
+        out_rows += out_cols
+        order, key = _stable_key_order(out_rows, key_bound)
+        (key,), reduced = fold_grouped((key,), prods[order], add_uf)
+        rows, cols = np.divmod(key, ncols)
     keep = reduced != float(op_pair.zero)
-    return grp_rows[keep], grp_cols[keep], reduced[keep]
+    if keep.all():
+        return rows, cols, reduced
+    return rows[keep], cols[keep], reduced[keep]
 
 
 def multiply_sortmerge(
@@ -377,9 +425,9 @@ def multiply_sortmerge(
 ) -> AssociativeArray:
     """``a ⊕.⊗ b`` through the sortmerge kernel (sparse semantics).
 
-    Joins ``a``'s cached CSC view against ``b``'s native (row, col)
-    lex order — which *is* its CSR order — on the shared inner
-    coordinate codes; see :func:`sortmerge_coo` for the steps.  Both
+    Feeds ``a``'s cached CSC view and ``b``'s native (row, col) lex
+    order — which *is* its CSR order — to :func:`sortmerge_coo`, which
+    pairs them on the shared inner coordinate codes.  Both
     operands must be vectorisable (ufunc op-pair, numeric backends);
     :func:`multiply` with ``kernel="sortmerge"`` routes here after
     validating that.

@@ -11,23 +11,15 @@ values are plain numbers, three vectorised kernels apply:
     systems.
 
 ``"sortmerge"``
-    The preferred semiring SpGEMM for *any* ufunc pair (implemented in
+    The semiring SpGEMM for *any* ufunc pair (implemented in
     :mod:`repro.arrays.matmul`, dispatched here for a uniform kernel
-    namespace): sort-merge join of A's cached CSC against B's cached
-    CSR on the shared inner coordinate codes, one ``⊗`` ufunc call over
-    the gathered values, stable lexicographic group sort, ``⊕`` via
-    ``np.ufunc.reduceat``.
-
-``"reduceat"``
-    The earlier Gustavson-order expansion SpGEMM for ufunc pairs:
-    expand all ``A(i,k) ⊗ B(k,j)`` products with one gather per A
-    entry's B-row segment, lexsort by output coordinate (stable, so
-    inner-key order is preserved within groups), and group-reduce ``⊕``
-    with ``np.ufunc.reduceat``.  Kept as an alternative expansion
-    strategy; ``auto`` now routes ufunc pairs to ``sortmerge``.  Memory
-    for both expansion kernels is proportional to the number of
-    multiplicative terms (the flop count), the classic space/time trade
-    of expansion-based SpGEMM.
+    namespace): B's per-inner-code runs from one ``bincount`` offsets
+    pass, term expansion in A's inner-sorted (CSC) order, one ``⊗``
+    ufunc call over the gathered values, one sort of a packed
+    ``(row, col)`` key tagged with each term's generation index, and a
+    left fold of ``⊕`` per group with ``ufunc.at``.  Memory is
+    proportional to the number of multiplicative terms (the flop
+    count), the classic space/time trade of expansion-based SpGEMM.
 
 ``"dense_blocked"``
     Definition I.3's dense fold, blocked over output rows: operands are
@@ -35,10 +27,10 @@ values are plain numbers, three vectorised kernels apply:
     semiring-aware fill makes annihilation native), then
     ``C = ⊕.reduce(⊗(A[:, :, None], B[None, :, :]), axis=1)`` per block.
 
-Kernel/mode pairing is strict: ``scipy``/``sortmerge``/``reduceat``
-implement *sparse* evaluation semantics, ``dense_blocked`` implements
-*dense* semantics (they coincide exactly for criteria-compliant
-op-pairs — property-tested).
+Kernel/mode pairing is strict: ``scipy``/``sortmerge`` implement
+*sparse* evaluation semantics, ``dense_blocked`` implements *dense*
+semantics (they coincide exactly for criteria-compliant op-pairs —
+property-tested).
 """
 
 from __future__ import annotations
@@ -61,7 +53,7 @@ __all__ = [
 ]
 
 #: Kernel names accepted by :func:`multiply_vectorized`.
-KERNELS = ("scipy", "sortmerge", "reduceat", "dense_blocked")
+KERNELS = ("scipy", "sortmerge", "dense_blocked")
 
 #: Row-block size for the dense kernel (bounds peak memory at
 #: ``block × |K3| × |K2|`` float64).
@@ -182,10 +174,8 @@ def multiply_vectorized(
             raise MatmulError(
                 "the scipy kernel applies only to the +.× op-pair")
         return _scipy_plus_times(a, b, op_pair)
-    if kernel == "sortmerge":
-        from repro.arrays.matmul import multiply_sortmerge
-        return multiply_sortmerge(a, b, op_pair)
-    return _reduceat_spgemm(a, b, op_pair)
+    from repro.arrays.matmul import multiply_sortmerge
+    return multiply_sortmerge(a, b, op_pair)
 
 
 def _scipy_plus_times(a: AssociativeArray, b: AssociativeArray,
@@ -209,62 +199,6 @@ def _csr_for_pair(array: AssociativeArray) -> sp.csr_matrix:
     return sp.csr_matrix(
         (data, indices, indptr),
         shape=(len(array.row_keys), len(array.col_keys)))
-
-
-def _reduceat_spgemm(a: AssociativeArray, b: AssociativeArray,
-                     op_pair: OpPair) -> AssociativeArray:
-    """Expansion SpGEMM: gather → ⊗ → stable lexsort → ⊕ reduceat.
-
-    Stability matters: within an output coordinate group the products stay
-    in ascending inner-key order, so the ``reduceat`` fold follows the key
-    order exactly as the generic kernel does.
-    """
-    add_uf = op_pair.add.ufunc
-    mul_uf = op_pair.mul.ufunc
-    a_data, a_indices, a_indptr = _to_csr_arrays(a)
-    b_data, b_indices, b_indptr = _to_csr_arrays(b)
-    m = len(a.row_keys)
-
-    if a_data.size == 0 or b_data.size == 0:
-        return AssociativeArray.empty(a.row_keys, b.col_keys,
-                                      zero=op_pair.zero)
-
-    # Per A-entry: the row it lives in, and its inner key's B-row segment.
-    entry_rows = np.repeat(np.arange(m, dtype=np.int64), np.diff(a_indptr))
-    seg_starts = b_indptr[a_indices]
-    seg_lens = b_indptr[a_indices + 1] - seg_starts
-    total = int(seg_lens.sum())
-    if total == 0:
-        return AssociativeArray.empty(a.row_keys, b.col_keys,
-                                      zero=op_pair.zero)
-
-    # Flat gather of every multiplicative term (the expansion).
-    cum = np.concatenate(([0], np.cumsum(seg_lens)[:-1]))
-    within = np.arange(total, dtype=np.int64) - np.repeat(cum, seg_lens)
-    gather = np.repeat(seg_starts, seg_lens) + within
-    out_rows = np.repeat(entry_rows, seg_lens)
-    out_cols = b_indices[gather]
-    prods = mul_uf(np.repeat(a_data, seg_lens), b_data[gather])
-
-    # Stable sort by output coordinate; equal coordinates keep gather order
-    # (= ascending inner key).
-    order = np.lexsort((out_cols, out_rows))
-    out_rows, out_cols, prods = out_rows[order], out_cols[order], prods[order]
-    change = np.empty(total, dtype=bool)
-    change[0] = True
-    np.logical_or(out_rows[1:] != out_rows[:-1],
-                  out_cols[1:] != out_cols[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    reduced = add_uf.reduceat(prods, starts)
-    grp_rows = out_rows[starts]
-    grp_cols = out_cols[starts]
-
-    zero = float(op_pair.zero)
-    keep = reduced != zero
-    return AssociativeArray._from_numeric(
-        grp_rows[keep], grp_cols[keep], reduced[keep],
-        row_keys=a.row_keys, col_keys=b.col_keys, zero=op_pair.zero,
-        presorted=True, filtered=True)
 
 
 def _dense_blocked(a: AssociativeArray, b: AssociativeArray,

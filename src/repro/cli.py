@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="edge-key → shard assignment")
     p_build.add_argument("--kernel", default="auto",
                          choices=["auto", "generic", "scipy", "sortmerge",
-                                  "reduceat", "dense_blocked"],
+                                  "dense_blocked"],
                          help="multiply kernel")
     p_build.add_argument("--backend", default="auto",
                          choices=["auto", "dict", "numeric"],

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Any, FrozenSet, Tuple
 
+from repro.arrays import matmul
 from repro.arrays.associative import AssociativeArray
 from repro.arrays.matmul import MatmulError, multiply
 from repro.graphs.digraph import EdgeKeyedDigraph
@@ -38,6 +39,36 @@ def _check_shared_edges(eout: AssociativeArray, ein: AssociativeArray) -> None:
             "with with_keys() over the union first")
 
 
+def _transposed_product(
+    e: AssociativeArray,
+    f: AssociativeArray,
+    op_pair: OpPair,
+    mode: str,
+    kernel: str,
+) -> AssociativeArray:
+    """``eᵀ ⊕.⊗ f`` with the kernel ``multiply(e.transpose(), f)`` picks.
+
+    On the ``sortmerge`` route ``e``'s own (edge, vertex)-sorted COO
+    arrays are ``eᵀ``'s CSC order, so they go to the kernel as they
+    stand: neither the transpose nor a CSC index is built.  Every other
+    kernel multiplies ``e.transpose()`` as before.
+    """
+    from repro.arrays.sparse_backend import vectorizable
+    _check_shared_edges(e, f)
+    if kernel == "auto":
+        kernel = matmul._pick_kernel(e, f, op_pair, mode, transposed=True)
+    if kernel == "sortmerge" and mode == "sparse" \
+            and vectorizable(e, f, op_pair):
+        ne = e.numeric_backend()
+        nf = f.numeric_backend()
+        rows, cols, vals = matmul.sortmerge_coo(
+            ne.rows, ne.cols, ne.vals, nf.rows, nf.cols, nf.vals, op_pair)
+        return AssociativeArray._from_numeric(
+            rows, cols, vals, row_keys=e.col_keys, col_keys=f.col_keys,
+            zero=op_pair.zero, presorted=True, filtered=True)
+    return multiply(e.transpose(), f, op_pair, mode=mode, kernel=kernel)
+
+
 def adjacency_array(
     eout: AssociativeArray,
     ein: AssociativeArray,
@@ -54,8 +85,7 @@ def adjacency_array(
     arrays; otherwise it may not be — use
     :func:`repro.core.certify.certify` to know in advance.
     """
-    _check_shared_edges(eout, ein)
-    return multiply(eout.transpose(), ein, op_pair, mode=mode, kernel=kernel)
+    return _transposed_product(eout, ein, op_pair, mode, kernel)
 
 
 def reverse_adjacency_array(
@@ -71,8 +101,7 @@ def reverse_adjacency_array(
     Corollary III.1: under the same criteria, swapping the roles of the
     incidence arrays reverses every arrow.
     """
-    _check_shared_edges(eout, ein)
-    return multiply(ein.transpose(), eout, op_pair, mode=mode, kernel=kernel)
+    return _transposed_product(ein, eout, op_pair, mode, kernel)
 
 
 def correlate(

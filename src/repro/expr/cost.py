@@ -176,13 +176,12 @@ class CostEstimate:
     def working_bytes(self) -> float:
         """Result bytes plus any kernel expansion buffer.
 
-        The expansion-based ``sortmerge`` and ``reduceat`` kernels
-        materialize every multiplicative term before the group-reduce,
-        so their working set is proportional to the flop count, not the
-        output size.
+        The expansion-based ``sortmerge`` kernel materializes every
+        multiplicative term before the group-reduce, so its working set
+        is proportional to the flop count, not the output size.
         """
         extra = 0.0
-        if self.kernel in ("sortmerge", "reduceat"):
+        if self.kernel == "sortmerge":
             extra = self.flops * NUMERIC_ENTRY_BYTES
         return self.bytes + extra
 

@@ -12,12 +12,14 @@ Execution is a memoised post-order walk: shared nodes (k-hop chains
 after common-subexpression elimination, reused sub-queries) evaluate
 once.  Products honour the cost model's kernel choice, validated
 against the actual operands at run time; fused
-:class:`~repro.expr.ast.IncidenceToAdjacency` nodes run off the left
-operand's cached CSC — which *is* the transpose's CSR — so no
-transposed array is ever materialized, with a generic fused loop for
-exotic value sets and a :class:`~repro.shard.plan.ShardedAdjacencyPlan`
-fallback for plans whose estimated working set exceeds the memory
-budget.
+:class:`~repro.expr.ast.IncidenceToAdjacency` nodes never materialize
+the transposed array: ``sortmerge`` takes
+:func:`~repro.core.construction.adjacency_array`'s transpose-free
+route, ``scipy`` contracts ``Eᵀ·F`` itself, other kernels run off the
+left operand's cached CSC (the transpose's CSR), with a generic fused
+loop for exotic value sets and a
+:class:`~repro.shard.plan.ShardedAdjacencyPlan` fallback for plans
+whose estimated working set exceeds the memory budget.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.arrays.elementwise import elementwise_apply, vectorizable_operands
 from repro.arrays.kron import kron
 from repro.arrays.matmul import multiply
 from repro.arrays.reductions import reduce_cols, reduce_rows
+from repro.core.construction import adjacency_array
 from repro.expr.ast import (
     Elementwise,
     ExprError,
@@ -393,7 +396,7 @@ class _Executor:
         operands disprove the numeric prediction."""
         est = self.plan.estimates.get(id(node))
         kernel = est.kernel if est is not None else "auto"
-        if kernel in ("scipy", "sortmerge", "reduceat", "dense_blocked"):
+        if kernel in ("scipy", "sortmerge", "dense_blocked"):
             from repro.arrays.sparse_backend import vectorizable
             if not vectorizable(a, b, node.op_pair):
                 return "generic"
@@ -466,13 +469,12 @@ class _Executor:
                         node, "scipy",
                         lambda: _fused_scipy(node, ne, nf, e, f))
                 if kernel == "sortmerge":
-                    # E's natural (row, col) lex order *is* Eᵀ's CSC
-                    # order (inner = edge = E's row): feed the COO
-                    # arrays straight into the sort-merge join — no
-                    # transposed array, no re-sort of either operand.
+                    # The transpose-free construction route: E's own
+                    # COO arrays are Eᵀ's CSC order.
                     return self._timed_product(
                         node, "sortmerge",
-                        lambda: _fused_sortmerge(node, ne, nf, e, f))
+                        lambda: adjacency_array(e, f, node.op_pair,
+                                                kernel="sortmerge"))
                 # E's cached CSC *is* Eᵀ's CSR: adopt it directly —
                 # the fused kernel never builds a transposed array.
                 et = AssociativeArray._adopt(
@@ -538,25 +540,6 @@ def _fused_scipy(node: IncidenceToAdjacency, ne, nf,
     be = NumericBackend.from_csr(sc.data, sc.indices, sc.indptr, sc.shape)
     return AssociativeArray._adopt(be, e.col_keys, f.col_keys,
                                    node.op_pair.zero)
-
-
-def _fused_sortmerge(node: IncidenceToAdjacency, ne, nf,
-                     e: AssociativeArray, f: AssociativeArray
-                     ) -> AssociativeArray:
-    """``Eᵀ ⊕.⊗ F`` through the sortmerge kernel, transpose-free.
-
-    ``Eᵀ``'s CSC order sorts by (``Eᵀ`` column, ``Eᵀ`` row) = (``E``
-    row, ``E`` col) — exactly the lex order the columnar backend
-    already keeps — so ``E``'s raw COO arrays are the join's A side
-    verbatim, and ``F``'s raw arrays are its CSR-ordered B side.
-    """
-    from repro.arrays.matmul import sortmerge_coo
-    rows, cols, vals = sortmerge_coo(
-        ne.rows, ne.cols, ne.vals,
-        nf.rows, nf.cols, nf.vals, node.op_pair)
-    return AssociativeArray._from_numeric(
-        rows, cols, vals, row_keys=e.col_keys, col_keys=f.col_keys,
-        zero=node.op_pair.zero, presorted=True, filtered=True)
 
 
 def _fused_generic(e: AssociativeArray, f: AssociativeArray,

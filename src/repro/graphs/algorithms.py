@@ -60,7 +60,7 @@ def semiring_vecmat(
     For ufunc op-pairs over a numeric-backed adjacency the relaxation
     is fully vectorised (:func:`_vecmat_vectorized`): one gather of the
     frontier values through the cached CSC view, one ``⊗`` ufunc call,
-    and a ``⊕`` group-fold with ``ufunc.reduceat`` — the dense-frontier
+    and a grouped ``⊕`` left fold — the dense-frontier
     hot path of the serve k-hop / path-length queries.  Everything else
     (exotic value sets, ufunc-less ops, tiny dict-backed arrays) takes
     the per-edge reference loop below.
@@ -98,7 +98,7 @@ def _vecmat_vectorized(
     ``A``'s entries by (col, row), so after masking to rows the frontier
     actually stores, each output column's terms sit adjacent and in
     ascending row order — exactly the reference loop's fold order — and
-    one ``reduceat`` folds ``⊕`` per column.  Bails out (``None``) on
+    one grouped left fold applies ``⊕`` per column.  Bails out (``None``) on
     ufunc-less or non-numeric op-pairs, NaN zeros, non-numeric frontier
     values, and dict-backed adjacencies below the promotion threshold.
     """

@@ -5,14 +5,24 @@ loadgen sweep can *detect* a slowdown, this module says **where the
 time and memory went** — stdlib only, always-on-capable, honest about
 its own overhead.
 
-* **Sampling** — a daemon thread walks :func:`sys._current_frames` at a
+* **Sampling** — every tick walks :func:`sys._current_frames` at a
   configurable rate (:data:`DEFAULT_HZ`), aggregating each thread's
   stack into **collapsed-stack** form (Brendan Gregg's
   ``root;child;leaf count`` lines), renderable as a self-contained HTML
   flamegraph (:func:`render_flamegraph_html`) or a text tree
-  (:func:`render_flamegraph_text`).  No ``threading.setprofile`` /
-  ``sys.settrace`` anywhere: unprofiled code runs untouched, and even
-  profiled code pays only the GIL handoffs the sampler tick costs.
+  (:func:`render_flamegraph_text`).  A session started on the main
+  thread ticks from a wall-clock ``ITIMER_REAL`` timer whose ``SIGALRM``
+  handler runs on the main thread itself, so it needs no GIL handoff: a
+  sampler *thread* starves while the main thread drops and retakes the
+  GIL faster than the switch interval (a k-hop loop of small scipy
+  calls does), and no switch request is ever raised.  ``ITIMER_PROF``
+  would not do: the kernel sends an expired process CPU timer to the
+  thread that is on the CPU, so the main thread's handler would not run
+  while it waits in ``join()`` on a busy worker.  Sessions started off
+  the main thread, or while another owner holds ``SIGALRM`` or the real
+  timer, use a daemon sampler thread instead.  No
+  ``threading.setprofile`` / ``sys.settrace`` anywhere: unprofiled code
+  runs untouched.
 * **Per-span CPU attribution** — while a session is active, a span
   observer (:func:`repro.obs.trace.set_span_observer`) mirrors each
   thread's innermost open span into a table the sampler can read
@@ -46,6 +56,7 @@ Surfaces: ``GET /profile`` (+ structured 409 when idle),
 from __future__ import annotations
 
 import json
+import signal
 import sys
 import threading
 import time
@@ -170,7 +181,7 @@ class _SpanTracker:
 
 
 # ---------------------------------------------------------------------------
-# The sampler thread
+# The samplers: a timer-signal handler on the main thread, or a thread
 # ---------------------------------------------------------------------------
 
 def _frame_label(frame: Any) -> str:
@@ -201,6 +212,7 @@ class _Sampler(threading.Thread):
 
     def stop(self) -> None:
         self._halt.set()
+        self.join(timeout=5.0)
 
     def run(self) -> None:
         interval = 1.0 / self._session.hz
@@ -212,12 +224,65 @@ class _Sampler(threading.Thread):
             if self._halt.is_set():
                 return
             t0 = time.perf_counter()
-            self._session._take_sample(self.ident)
+            frames = sys._current_frames()
+            frames.pop(self.ident, None)
+            self._session._take_sample(frames)
             now = time.perf_counter()
             self._session._walk_seconds += now - t0
             next_tick += interval
             if next_tick < now:   # behind: drop missed ticks
                 next_tick = now + interval
+
+
+class _TimerSampler:
+    """Samples from a ``SIGALRM`` handler driven by ``ITIMER_REAL``.
+
+    The handler runs on the main thread between bytecodes, or when a
+    blocking call there is interrupted, and samples the main thread at
+    the frame it interrupted.  Ticks that fall due while one is being
+    handled are dropped, like the thread sampler's missed ticks.
+    """
+
+    def __init__(self, session: "ProfileSession") -> None:
+        self._session = session
+        self._busy = False
+
+    @staticmethod
+    def available() -> bool:
+        """Whether this thread may own ``SIGALRM`` and the real timer:
+        it is the main thread, and nobody else holds either."""
+        return (threading.current_thread() is threading.main_thread()
+                and hasattr(signal, "setitimer")
+                and signal.getsignal(signal.SIGALRM) is signal.SIG_DFL
+                and signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0))
+
+    def start(self) -> None:
+        interval = 1.0 / self._session.hz
+        signal.signal(signal.SIGALRM, self._tick)
+        signal.setitimer(signal.ITIMER_REAL, interval, interval)
+
+    def stop(self) -> None:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        if threading.current_thread() is threading.main_thread():
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+        else:
+            # Only the main thread may reinstall a handler; this one
+            # stays behind as a no-op, since no tick is due any more.
+            self._busy = True
+
+    def _tick(self, _signum: int, frame: Any) -> None:
+        if self._busy:
+            return
+        self._busy = True
+        try:
+            t0 = time.perf_counter()
+            frames = sys._current_frames()
+            # The main thread's own entry is this handler's frame.
+            frames[threading.get_ident()] = frame
+            self._session._take_sample(frames)
+            self._session._walk_seconds += time.perf_counter() - t0
+        finally:
+            self._busy = False
 
 
 # ---------------------------------------------------------------------------
@@ -677,13 +742,15 @@ class ProfileSession:
         self.max_depth = max_depth
         self.started_at = 0.0
         self._t0 = 0.0
-        self._lock = threading.Lock()
+        # Re-entrant: the timer sampler's handler can interrupt the
+        # main thread inside a dump that already holds it.
+        self._lock = threading.RLock()
         self._stacks: Dict[Tuple[str, ...], int] = {}
         self._samples = 0
         self._thread_samples: Dict[int, int] = {}
         self._walk_seconds = 0.0
         self._tracker = _SpanTracker(self.hz)
-        self._sampler: Optional[_Sampler] = None
+        self._sampler: Optional[Union[_Sampler, _TimerSampler]] = None
         self._memory_deltas: List[Dict[str, Any]] = []
         self._started_tracemalloc = False
 
@@ -697,7 +764,8 @@ class ProfileSession:
         set_span_observer(self._tracker)
         self.started_at = time.time()
         self._t0 = time.perf_counter()
-        self._sampler = _Sampler(self)
+        self._sampler = _TimerSampler(self) if _TimerSampler.available() \
+            else _Sampler(self)
         self._sampler.start()
         emit_event("profile.start", profile_id=self.profile_id,
                    hz=self.hz, memory=self.memory)
@@ -708,7 +776,6 @@ class ProfileSession:
         if sampler is None:
             raise ProfileError("profile session was never started")
         sampler.stop()
-        sampler.join(timeout=5.0)
         self._sampler = None
         set_span_observer(None)
         duration = time.perf_counter() - self._t0
@@ -738,13 +805,11 @@ class ProfileSession:
                    overhead_ratio=round(profile.overhead_ratio, 5))
         return profile
 
-    # -- sampling (sampler thread only) ---------------------------------
-    def _take_sample(self, sampler_ident: Optional[int]) -> None:
-        frames = sys._current_frames()
+    # -- sampling (samplers only) ---------------------------------------
+    def _take_sample(self, frames: Dict[int, Any]) -> None:
+        """Record one stack per ``{thread ident: innermost frame}``."""
         rows: List[Tuple[int, Tuple[str, ...]]] = []
         for ident, frame in frames.items():
-            if ident == sampler_ident:
-                continue
             stack: List[str] = []
             depth = 0
             while frame is not None and depth < self.max_depth:

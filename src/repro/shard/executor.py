@@ -1,8 +1,8 @@
 """Construct per-shard adjacency arrays from an on-disk shard set.
 
 Each shard is independent work: load its incidence pair, compute
-``Aₛ = (Eout|Kₛ)ᵀ ⊕.⊗ (Ein|Kₛ)`` with the ordinary
-:func:`repro.arrays.matmul.multiply` kernels, and spill the result to
+``Aₛ = (Eout|Kₛ)ᵀ ⊕.⊗ (Ein|Kₛ)`` with
+:func:`repro.core.construction.adjacency_array`, and spill the result to
 disk as a pickle.  Workers mirror :mod:`repro.arrays.parallel`:
 
 * ``executor="serial"`` — in-process loop (the plumbing without
@@ -32,7 +32,7 @@ from repro.arrays.associative import AssociativeArray
 from repro.arrays.backend import BACKEND_KINDS
 from repro.arrays.io import iter_tsv_triples
 from repro.arrays.keys import KeySet
-from repro.arrays.matmul import multiply
+from repro.core.construction import adjacency_array
 from repro.obs.events import emit_event
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
@@ -128,7 +128,7 @@ def _shard_task(
     if isinstance(pair, str):
         pair = resolve_registered_pair(pair)
     eout, ein = load_shard(manifest, info, zero=pair.zero, backend=backend)
-    adj = multiply(eout.transpose(), ein, pair, mode=mode, kernel=kernel)
+    adj = adjacency_array(eout, ein, pair, mode=mode, kernel=kernel)
     if backend != "auto":
         # Spilled shard results carry the requested storage backend, so
         # the ⊕-merge tree sees (and keeps) the chosen representation.

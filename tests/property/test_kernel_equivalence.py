@@ -4,11 +4,14 @@ The optimization contract of the hpc-parallel guides: vectorised kernels
 must be *exactly* interchangeable with the reference implementation.  For
 every ufunc op-pair and random conformable arrays:
 
-* ``reduceat`` (sparse semantics) ≡ generic sparse;
 * ``dense_blocked`` (dense semantics) ≡ generic dense;
 * ``scipy`` ≡ generic sparse for ``+.×``;
-* and for compliant pairs, sparse ≡ dense — Theorem II.1 again, now as a
-  kernel-level statement.
+* and for compliant pairs, sparse ``sortmerge`` ≡ dense
+  ``dense_blocked`` — Theorem II.1 again, now as a kernel-level
+  statement.
+
+``sortmerge`` ≡ generic sparse lives in
+:mod:`tests.property.test_sortmerge_equivalence`.
 """
 
 from __future__ import annotations
@@ -24,21 +27,6 @@ from tests.property.strategies import conformable_numeric_arrays
 
 COMMON = dict(deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-
-
-def _make_reduceat_test(name: str):
-    pair = get_op_pair(name)
-
-    @settings(max_examples=40, **COMMON)
-    @given(ab=conformable_numeric_arrays(zero=float(pair.zero)))
-    def _test(ab):
-        a, b = ab
-        ref = multiply_generic(a, b, pair, mode="sparse")
-        got = multiply_vectorized(a, b, pair, kernel="reduceat")
-        assert got.allclose(ref)
-
-    _test.__name__ = f"test_reduceat_{name}"
-    return _test
 
 
 def _make_dense_test(name: str):
@@ -64,7 +52,7 @@ def _make_cross_mode_test(name: str):
     @given(ab=conformable_numeric_arrays(zero=float(pair.zero)))
     def _test(ab):
         a, b = ab
-        sparse = multiply_vectorized(a, b, pair, kernel="reduceat")
+        sparse = multiply_vectorized(a, b, pair, kernel="sortmerge")
         dense = multiply_vectorized(a, b, pair, kernel="dense_blocked",
                                     mode="dense")
         assert sparse.allclose(dense)
@@ -74,7 +62,6 @@ def _make_cross_mode_test(name: str):
 
 
 for _name in SAFE_NUMERIC_PAIRS:
-    globals()[f"test_reduceat_{_name}"] = _make_reduceat_test(_name)
     globals()[f"test_dense_blocked_{_name}"] = _make_dense_test(_name)
     globals()[f"test_cross_mode_{_name}"] = _make_cross_mode_test(_name)
 del _name

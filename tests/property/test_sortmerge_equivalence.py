@@ -50,25 +50,8 @@ def _make_sortmerge_test(name: str):
     return _test
 
 
-def _make_sortmerge_vs_reduceat_test(name: str):
-    pair = get_op_pair(name)
-
-    @settings(max_examples=25, **COMMON)
-    @given(ab=conformable_numeric_arrays(zero=float(pair.zero)))
-    def _test(ab):
-        a, b = ab
-        sm = multiply_vectorized(a, b, pair, kernel="sortmerge")
-        ra = multiply_vectorized(a, b, pair, kernel="reduceat")
-        assert sm.allclose(ra)
-
-    _test.__name__ = f"test_sortmerge_vs_reduceat_{name}"
-    return _test
-
-
 for _name in SAFE_NUMERIC_PAIRS:
     globals()[f"test_sortmerge_{_name}"] = _make_sortmerge_test(_name)
-    globals()[f"test_sortmerge_vs_reduceat_{_name}"] = \
-        _make_sortmerge_vs_reduceat_test(_name)
 del _name
 
 

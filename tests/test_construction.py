@@ -125,3 +125,71 @@ class TestCorrelate:
         assert c.get("g", "w") == 2 * 5 + 3 * 7
         assert tuple(c.row_keys) == ("g",)
         assert tuple(c.col_keys) == ("w",)
+
+
+class TestTransposeFreeRoute:
+    """``adjacency_array`` hands ``Eout``'s own COO arrays to sortmerge
+    as ``Eoutᵀ``'s CSC; every other route keeps multiplying
+    ``Eout.transpose()``, and the kernel decision is unchanged."""
+
+    @pytest.fixture
+    def isolated_store(self, tmp_path, monkeypatch):
+        from repro.obs.calibration import reset_calibration_store
+        monkeypatch.setenv("REPRO_CALIBRATION_PATH",
+                           str(tmp_path / "calibration.json"))
+        reset_calibration_store()
+        yield
+        reset_calibration_store()
+
+    @staticmethod
+    def _weighted(pair, n_edges, seed=3):
+        from repro.graphs.generators import (random_incidence_values,
+                                             rmat_multigraph)
+        graph = rmat_multigraph(6, n_edges, seed=seed)
+        out_w, in_w = random_incidence_values(graph, pair, seed=seed + 1)
+        return incidence_arrays(graph, zero=pair.zero, out_values=out_w,
+                                in_values=in_w)
+
+    def test_min_plus_builds_no_transpose_and_no_csc(self, monkeypatch):
+        from repro.arrays.backend import VECTORIZE_MIN_NNZ, NumericBackend
+        pair = get_op_pair("min_plus")
+        eout, ein = self._weighted(pair, VECTORIZE_MIN_NNZ)
+        assert eout.nnz + ein.nnz >= VECTORIZE_MIN_NNZ
+        forward = adjacency_array(eout, ein, pair, kernel="generic")
+        backward = reverse_adjacency_array(eout, ein, pair,
+                                           kernel="generic")
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the sortmerge route must not call this")
+
+        monkeypatch.setattr(AssociativeArray, "transpose", refuse)
+        monkeypatch.setattr(NumericBackend, "csc", refuse)
+        assert adjacency_array(eout, ein, pair) == forward
+        assert reverse_adjacency_array(eout, ein, pair) == backward
+
+    def test_tiny_dict_operands_stay_generic_with_int_values(
+            self, small_graph, isolated_store):
+        pair = get_op_pair("min_plus")
+        eout, ein = incidence_arrays(small_graph, zero=pair.zero, one=2)
+        adj = adjacency_array(eout, ein, pair)
+        assert adj.backend == "dict"
+        assert adj.get("a", "b") == 4
+        assert all(type(v) is int for v in adj.values_list())
+
+    @pytest.mark.parametrize("e_form", ["dict", "promoted", "numeric"])
+    @pytest.mark.parametrize("f_form", ["dict", "numeric"])
+    @pytest.mark.parametrize("n_edges", [20, 400])
+    @pytest.mark.parametrize("name", ["min_plus", "plus_times"])
+    def test_kernel_decision_matches_the_transposed_product(
+            self, e_form, f_form, n_edges, name, isolated_store):
+        from repro.arrays.matmul import _pick_kernel
+        pair = get_op_pair(name)
+        e, f = self._weighted(pair, n_edges)
+        if e_form == "promoted":
+            e.numeric_backend()          # dict storage, cached promotion
+        elif e_form == "numeric":
+            e = e.with_backend("numeric")
+        if f_form == "numeric":
+            f = f.with_backend("numeric")
+        picked = _pick_kernel(e, f, pair, "sparse", transposed=True)
+        assert picked == _pick_kernel(e.transpose(), f, pair, "sparse")

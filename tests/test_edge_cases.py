@@ -148,4 +148,4 @@ class TestLargeSanity:
         assert multiply_vectorized(a, b, pair,
                                    kernel="scipy").allclose(ref)
         assert multiply_vectorized(a, b, pair,
-                                   kernel="reduceat").allclose(ref)
+                                   kernel="sortmerge").allclose(ref)

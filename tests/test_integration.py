@@ -98,9 +98,9 @@ class TestKernelCrossoverOnSameData:
         pair = get_op_pair("plus_times")
         generic = repro.multiply(e1.T, e2, pair, kernel="generic")
         from repro.arrays.sparse_backend import multiply_vectorized
-        reduceat = multiply_vectorized(e1.T, e2, pair, kernel="reduceat")
+        sortmerge = multiply_vectorized(e1.T, e2, pair, kernel="sortmerge")
         scipy_k = multiply_vectorized(e1.T, e2, pair, kernel="scipy")
-        assert generic.allclose(reduceat)
+        assert generic.allclose(sortmerge)
         assert generic.allclose(scipy_k)
 
 

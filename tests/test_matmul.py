@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.arrays.associative import AssociativeArray
-from repro.arrays.matmul import MatmulError, multiply, multiply_generic
+from repro.arrays.matmul import (
+    MatmulError,
+    _stable_key_order,
+    multiply,
+    multiply_generic,
+    sortmerge_coo,
+)
+from repro.core.construction import adjacency_array
 from repro.values.semiring import get_op_pair
 
 from tests.helpers import SAFE_NUMERIC_PAIRS
@@ -147,6 +155,63 @@ class TestFoldOrder:
         dense = multiply(a, b, pair, mode="dense", kernel="generic")
         # Terms in order: k1 → 0⊗0 = 0, k2 → 2⊗1 = 2; fold 0 ⊕̃ 2 = 2.
         assert dense.get("x", "u") == 2
+
+
+class TestSortmergeGrouping:
+    """What the sortmerge property suite cannot see: it compares results
+    with ``allclose``, so a ``⊕`` fold run in the wrong order passes as
+    long as the rounding error stays small."""
+
+    def test_float_sum_witness_equals_generic_fold(self):
+        """``(3 + 1e16) − 1e16`` is 2 or 4 in float64; adding the 1e16
+        terms first gives 3.  Every one of the 60 × 80 (row, col)
+        groups gets those three terms on three inner keys, generated
+        key by key, so an unstable sort of the equal group keys would
+        reorder some groups, and a fold that is not strictly left to
+        right (``np.add.reduceat``) gives 3 in all of them: either
+        breaks ``==`` with the generic fold."""
+        pair = get_op_pair("plus_times")
+        rows = [f"r{i:02d}" for i in range(60)]
+        cols = [f"c{j:02d}" for j in range(80)]
+        inner = ["k0", "k1", "k2"]
+        weight = {"k0": 3.0, "k1": 1e16, "k2": -1e16}
+        a = _arr({(r, k): 1.0 for r in rows for k in inner}, rows, inner)
+        b = _arr({(k, c): weight[k] for k in inner for c in cols},
+                 inner, cols)
+        ref = multiply(a, b, pair, kernel="generic")
+        assert ref.get("r00", "c00") == (3.0 + 1e16) - 1e16 != 3.0
+        assert multiply(a, b, pair, kernel="sortmerge") == ref
+        # The transpose-free construction route folds the same way.
+        eout = a.transpose()
+        assert adjacency_array(eout, b, pair, kernel="sortmerge") == ref
+
+    @pytest.mark.parametrize("high", [1 << 20, 1 << 50, 1 << 52])
+    def test_tagged_sort_is_the_stable_argsort(self, high):
+        """5000 keys over 64 distinct values below ``high``: key plus a
+        13-bit tag fits 63 bits up to ``high = 2**50`` (one sort of the
+        tagged keys); keys at or above 2**50 take the stable argsort."""
+        rng = np.random.default_rng(7)
+        key = rng.integers(0, 64, 5000) * (high // 64)
+        order, sorted_key = _stable_key_order(key, high)
+        want = np.argsort(key, kind="stable")
+        np.testing.assert_array_equal(order, want)
+        np.testing.assert_array_equal(sorted_key, key[want])
+
+    def test_packed_key_past_int64(self):
+        """Row × column code space beyond 2**63: the (row, col) key
+        cannot be packed, and a lexsort groups the terms instead."""
+        pair = get_op_pair("min_plus")
+        big = 1 << 40
+        rows, cols, vals = sortmerge_coo(
+            np.array([0, 0, 1]), np.array([big, 3, big]),
+            np.array([1.0, 2.0, 3.0]),
+            np.array([0, 1, 1]), np.array([big, big, 5]),
+            np.array([10.0, 20.0, 30.0]), pair)
+        # Terms: k0 → (big, big) 11, (3, big) 12; k1 → (big, big) 23,
+        # (big, 5) 33.
+        assert rows.tolist() == [3, big, big]
+        assert cols.tolist() == [big, 5, big]
+        assert vals.tolist() == [12.0, 33.0, 11.0]
 
 
 class TestKernelSelection:

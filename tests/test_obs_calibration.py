@@ -60,10 +60,10 @@ class TestStore:
     def test_round_trip_across_instances(self, tmp_path):
         path = tmp_path / "cal.json"
         first = CalibrationStore(path)
-        first.record("reduceat", terms=500.0, seconds=0.02)
+        first.record("sortmerge", terms=500.0, seconds=0.02)
         first.save()
         second = CalibrationStore(path)    # fresh load, same machine
-        assert second.rate("reduceat") == pytest.approx(0.02 / 500.0)
+        assert second.rate("sortmerge") == pytest.approx(0.02 / 500.0)
         doc = json.loads(path.read_text())
         assert doc["schema"] == SCHEMA
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+import sys
 import threading
 import time
 
@@ -121,6 +123,51 @@ class TestSamplerAccuracy:
         deep = [s for s in profile.stacks if "<truncated>" in s]
         assert deep, profile.collapsed()
         assert all(len(s) <= 17 for s in profile.stacks)
+
+
+class TestTimerSampler:
+    def test_ticks_while_no_other_thread_can_take_the_gil(self):
+        """A session started on the main thread samples from a timer
+        signal handler that runs on the main thread, so it ticks even
+        when a sampler thread could never get the GIL — here a switch
+        interval far longer than the test, the limit of the convoy a
+        k-hop loop of small scipy calls causes."""
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(60.0)
+        try:
+            session = start_profile(hz=100)
+            deadline = time.perf_counter() + 20.0
+            while (session._samples < 20
+                   and time.perf_counter() < deadline):
+                _hot_spin(0.01)
+            profile = stop_profile()
+        finally:
+            sys.setswitchinterval(old)
+        assert profile.samples >= 20, profile.collapsed()
+
+    def test_stop_hands_back_the_signal_and_the_timer(self):
+        start_profile(hz=100)
+        assert signal.getsignal(signal.SIGALRM) is not signal.SIG_DFL
+        stop_profile()
+        assert signal.getsignal(signal.SIGALRM) is signal.SIG_DFL
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+    def test_an_owned_sigalrm_keeps_the_thread_sampler(self):
+        def owner(_signum, _frame):
+            pass
+
+        previous = signal.signal(signal.SIGALRM, owner)
+        try:
+            session = start_profile(hz=100)
+            deadline = time.perf_counter() + 20.0
+            while (session._samples < 5
+                   and time.perf_counter() < deadline):
+                _anchored_workload(0.01)
+            profile = stop_profile()
+            assert signal.getsignal(signal.SIGALRM) is owner
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        assert profile.samples >= 5
 
 
 class TestSpanAttribution:

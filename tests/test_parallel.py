@@ -115,7 +115,7 @@ class TestParallelMultiply:
         a, b = _random_pair(5, zero=float(pair.zero))
         want = multiply(a, b, pair, kernel="generic")
         got = parallel_multiply(a, b, pair, n_workers=3,
-                                executor="thread", kernel="reduceat")
+                                executor="thread", kernel="sortmerge")
         assert got.allclose(want)
 
     def test_single_worker_shortcut(self):

@@ -58,7 +58,7 @@ class TestVectorizable:
         b = AssociativeArray({("k", "c"): "t"}, zero=zero)
         with pytest.raises(MatmulError, match="not vectorisable"):
             multiply_vectorized(a, b, get_op_pair("max_concat"),
-                                kernel="reduceat")
+                                kernel="sortmerge")
 
 
 class TestKernelModePairing:
@@ -68,11 +68,11 @@ class TestKernelModePairing:
             multiply_vectorized(a, b, get_op_pair("plus_times"),
                                 kernel="dense_blocked", mode="sparse")
 
-    def test_reduceat_requires_sparse_mode(self):
+    def test_sortmerge_requires_sparse_mode(self):
         a, b = _random_pair_of_arrays(2)
         with pytest.raises(MatmulError, match="sparse semantics"):
             multiply_vectorized(a, b, get_op_pair("plus_times"),
-                                kernel="reduceat", mode="dense")
+                                kernel="sortmerge", mode="dense")
 
     def test_scipy_kernel_only_for_plus_times(self):
         a, b = _random_pair_of_arrays(2)
@@ -89,15 +89,6 @@ class TestKernelModePairing:
 
 class TestKernelAgreement:
     """Every vectorised kernel must agree with the generic reference."""
-
-    @pytest.mark.parametrize("seed", [3, 4, 5])
-    @pytest.mark.parametrize("name", SAFE_NUMERIC_PAIRS)
-    def test_reduceat_matches_generic(self, name, seed):
-        pair = get_op_pair(name)
-        a, b = _random_pair_of_arrays(seed, zero=pair.zero)
-        ref = multiply_generic(a, b, pair, mode="sparse")
-        got = multiply_vectorized(a, b, pair, kernel="reduceat")
-        assert got.allclose(ref), name
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     @pytest.mark.parametrize("name", SAFE_NUMERIC_PAIRS)
@@ -129,7 +120,7 @@ class TestKernelAgreement:
         pair = get_op_pair("min_plus")
         a = AssociativeArray.empty(["r"], ["k"], zero=pair.zero)
         b = AssociativeArray.empty(["k"], ["c"], zero=pair.zero)
-        got = multiply_vectorized(a, b, pair, kernel="reduceat")
+        got = multiply_vectorized(a, b, pair, kernel="sortmerge")
         assert got.nnz == 0
 
     def test_no_shared_inner_entries(self):
@@ -138,7 +129,7 @@ class TestKernelAgreement:
                              row_keys=["r"], col_keys=["k1", "k2"])
         b = AssociativeArray({("k2", "c"): 1.0},
                              row_keys=["k1", "k2"], col_keys=["c"])
-        got = multiply_vectorized(a, b, pair, kernel="reduceat")
+        got = multiply_vectorized(a, b, pair, kernel="sortmerge")
         assert got.nnz == 0
 
     def test_dense_blocked_with_inf_zero(self):
@@ -184,5 +175,4 @@ class TestScipyInterop:
             from_scipy(m, ["just_one_row"], a.col_keys)
 
     def test_kernels_constant(self):
-        assert set(KERNELS) == {"scipy", "sortmerge", "reduceat",
-                                "dense_blocked"}
+        assert set(KERNELS) == {"scipy", "sortmerge", "dense_blocked"}
