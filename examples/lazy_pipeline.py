@@ -22,8 +22,8 @@ only then does anything execute.  This example walks the surface:
 6. route an over-budget plan through the out-of-core shard executor;
 7. build a ``min.+`` shortest-path plan and watch the kernel routing:
    the non-``+.×`` product rides the ``sortmerge`` kernel, the
-   transcript reports its calibrated cost, and the relaxed distances
-   match Bellman–Ford exactly.
+   transcript reports its term count and working set, and the relaxed
+   distances match Bellman–Ford exactly.
 
 Run:  python examples/lazy_pipeline.py
 """
@@ -98,8 +98,8 @@ def main() -> None:
     # 7. A min.+ shortest-path plan: the same expression surface, a
     #    different algebra.  The adjacency product is not +.× so scipy
     #    is off the table — the plan routes it through the sortmerge
-    #    kernel, and explain() shows the routing with its calibrated
-    #    per-term cost.
+    #    kernel, and explain() shows the routing with its term count
+    #    and working set.
     mp = repro.get_op_pair("min_plus")
     weo, wei = repro.incidence_arrays(graph, zero=mp.zero,
                                       out_values={k: 0.0 for k in weights},

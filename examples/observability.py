@@ -16,8 +16,8 @@ example walks the surface without starting an HTTP server:
 3. instrument *your own* pipeline: open a root span on a
    :class:`~repro.obs.Tracer` and every instrumented library call —
    expression planning, kernel execution — attaches itself beneath it;
-4. read the measured per-kernel rates that the library instruments
-   feed back into the expression engine's cost model;
+4. read the per-kernel product timings the expression executor
+   records (``expr_kernel_seconds{kernel=...}`` on ``/metrics``);
 5. fabricate two benchmark-harness runs and diff them with the same
    regression gate CI applies (``repro bench --compare``);
 6. find the OpenMetrics exemplars that link slow histogram buckets
@@ -94,18 +94,16 @@ def main() -> None:
     assert adjacency.nnz > 0
 
     # ------------------------------------------------------------------
-    # 4. Measured kernel rates feeding the cost model.
+    # 4. Per-kernel product timings recorded by the executor.
     # ------------------------------------------------------------------
-    from repro.expr.cost import measured_seconds_per_term
-    print("\n— measured kernel rates (cost-model calibration) —")
+    print("\n— product kernel timings (expr_kernel_seconds) —")
     for family in get_registry().families():
-        if family.name != "expr_kernel_terms_total":
+        if family.name != "expr_kernel_seconds":
             continue
-        for labels, _inst in sorted(family.children.items()):
+        for labels, hist in sorted(family.children.items()):
             kernel = dict(labels).get("kernel", "?")
-            rate = measured_seconds_per_term(kernel)
-            if rate is not None:
-                print(f"  {kernel}: {rate * 1e9:.2f} ns/term")
+            print(f"  {kernel}: {hist.count} products, "
+                  f"p50 {hist.percentile(0.5) * 1e3:.3f} ms")
 
     # ------------------------------------------------------------------
     # 5. The regression gate, on two fabricated harness runs.

@@ -46,11 +46,12 @@ pair run at vectorised speed, not just ``+.×``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from repro.arrays.associative import AssociativeArray
+from repro.arrays.backend import VECTORIZE_MIN_NNZ
 from repro.values.semiring import OpPair
 
 __all__ = [
@@ -60,19 +61,13 @@ __all__ = [
     "multiply_sortmerge",
     "sortmerge_coo",
     "fold_grouped",
-    "preferred_vector_kernel",
-    "calibrated_tiny_pick",
+    "route_kernel",
+    "holds_numeric",
 ]
 
-#: Rough cost model for the calibrated tiny-operand decision: promoting
-#: one dict entry to the columnar backend (plus its share of the fixed
-#: NumPy call overhead a vectorised kernel pays regardless of size) is
-#: priced as this many extra vectorised terms per operand entry ...
-PROMOTE_TERMS_PER_ENTRY = 8.0
-
-#: ... plus this many terms of flat per-call overhead (≈ tens of µs at
-#: typical sortmerge throughput).
-VECTOR_CALL_OVERHEAD_TERMS = 4096.0
+#: Output cell count below which a tiny product may stay generic (see
+#: :func:`route_kernel`).
+TINY_OUTPUT_CELLS = 4096
 
 
 class MatmulError(ValueError):
@@ -113,15 +108,30 @@ def multiply(
         a, b, op_pair, kernel=kernel, mode=mode)
 
 
-def preferred_vector_kernel(op_pair: OpPair, mode: str) -> str:
-    """The vectorised kernel ``auto`` prefers for a ufunc op-pair.
+def route_kernel(op_pair: OpPair, mode: str, *, a_native: bool,
+                 b_native: bool, nnz_a: float, nnz_b: float,
+                 out_cells: float) -> str:
+    """The kernel ``auto`` runs a product on: a pure function of the
+    op-pair, the mode and the operands' sizes and storage.
 
-    ``scipy`` keeps the genuine ``+.×`` pair (its SpGEMM avoids the
-    expansion buffer entirely); every other certified numeric pair with
-    ufunc forms rides ``sortmerge``; dense mode uses the blocked dense
-    fold.  The tiny-operand and vectorizability gates are the caller's
-    job — this is just the preference order.
+    Vectorised kernels need numeric NumPy ufunc forms of both
+    operations: ``dense_blocked`` in dense mode, ``scipy`` for the
+    genuine ``+.×`` pair, ``sortmerge`` for every other such pair.
+    A tiny product — fewer than ``VECTORIZE_MIN_NNZ`` operand entries
+    and fewer than :data:`TINY_OUTPUT_CELLS` output cells — stays
+    ``generic`` unless both operands already hold the numeric backend
+    (``a_native``, ``b_native``): promoting it would cost more than the
+    product, and the generic kernel keeps exact Python value types.
+    The caller still checks that the stored values vectorise
+    (:func:`repro.arrays.sparse_backend.vectorizable`); a planner cannot
+    see them.  :func:`_pick_kernel` and the expression cost model both
+    route through here.
     """
+    if not (op_pair.has_ufuncs and op_pair.is_numeric):
+        return "generic"
+    if not (a_native and b_native) and nnz_a + nnz_b < VECTORIZE_MIN_NNZ \
+            and out_cells < TINY_OUTPUT_CELLS:
+        return "generic"
     if mode == "dense":
         return "dense_blocked"
     if op_pair.name in ("plus_times", "nat_plus_times"):
@@ -129,83 +139,42 @@ def preferred_vector_kernel(op_pair: OpPair, mode: str) -> str:
     return "sortmerge"
 
 
-def calibrated_tiny_pick(kernel: str, nnz_a: float, nnz_b: float,
-                         inner: float) -> Optional[str]:
-    """Calibrated generic-vs-vectorised decision for tiny dict operands.
+def holds_numeric(array: AssociativeArray, *,
+                  transposed: bool = False) -> bool:
+    """Whether ``array`` (or, with ``transposed=True``, its transpose)
+    already holds the numeric backend, so a vectorised kernel pays no
+    promotion for it.
 
-    When the persistent calibration store (:mod:`repro.obs.calibration`)
-    holds measured seconds-per-term for both ``"generic"`` and the
-    candidate vectorised ``kernel``, compare predicted wall times
-    instead of trusting the static nnz threshold: generic costs its
-    rate × estimated terms, the vectorised kernel costs its rate ×
-    (terms + a promotion/call-overhead surcharge — see
-    :data:`PROMOTE_TERMS_PER_ENTRY` / :data:`VECTOR_CALL_OVERHEAD_TERMS`).
-    Returns ``"generic"``, ``kernel``, or ``None`` when either rate is
-    uncalibrated (the caller then falls back to the static threshold).
+    ``array.transpose()`` is numeric-backed exactly when ``array`` holds
+    a columnar form, native or a cached promotion: below the size
+    bailout :meth:`AssociativeArray.transpose` never promotes.
     """
-    from repro.obs.calibration import get_calibration_store
-    store = get_calibration_store()
-    if store is None:
-        return None
-    generic_rate = store.rate("generic")
-    vector_rate = store.rate(kernel)
-    if generic_rate is None or vector_rate is None:
-        return None
-    terms = nnz_a * nnz_b / max(inner, 1.0)
-    surcharge = (PROMOTE_TERMS_PER_ENTRY * (nnz_a + nnz_b)
-                 + VECTOR_CALL_OVERHEAD_TERMS)
-    if generic_rate * terms <= vector_rate * (terms + surcharge):
-        return "generic"
-    return kernel
+    if array.backend == "numeric":
+        return True
+    return transposed and array._cache.get("numeric_backend") is not None
 
 
 def _pick_kernel(a: AssociativeArray, b: AssociativeArray,
                  op_pair: OpPair, mode: str, *,
                  transposed: bool = False) -> str:
-    """Choose the fastest applicable kernel.
-
-    Vectorised kernels need numeric values and NumPy ufunc forms of both
-    operations; ``scipy`` additionally needs the genuine ``+.×`` pair —
-    everything else ufunc-shaped rides ``sortmerge``.  Tiny dict-backed
-    operands stay on the generic kernel (conversion overhead dominates
-    and exact Python value types are preserved) unless the calibration
-    store's measured per-kernel throughput says the vectorised kernel
-    still wins (:func:`calibrated_tiny_pick`); operands that already
-    carry a numeric backend skip that bailout — their compiled form is
-    paid for, so staying vectorised is free.
+    """:func:`route_kernel` on actual operands, demoted to ``generic``
+    when their values do not vectorise.
 
     ``transposed=True`` decides ``aᵀ ⊕.⊗ b`` without building ``aᵀ``,
-    and decides it as this function would on ``a.transpose()``: that
-    transpose is numeric-backed exactly when ``a`` already holds a
-    columnar form (native, or a cached promotion), since below the size
-    bailout :meth:`AssociativeArray.transpose` never promotes.
+    and decides it as this function would on ``a.transpose()``.
     """
     from repro.arrays import sparse_backend
-    from repro.arrays.backend import VECTORIZE_MIN_NNZ
-    if transposed:
-        a_native = a.backend == "numeric" \
-            or a._cache.get("numeric_backend") is not None
-        out_keys, inner_keys = a.col_keys, a.row_keys
-    else:
-        a_native = a.backend == "numeric"
-        out_keys, inner_keys = a.row_keys, a.col_keys
-    # Size bailout first: vectorizable() promotes dict operands to the
+    out_keys = a.col_keys if transposed else a.row_keys
+    kernel = route_kernel(
+        op_pair, mode, a_native=holds_numeric(a, transposed=transposed),
+        b_native=holds_numeric(b), nnz_a=a.nnz, nnz_b=b.nnz,
+        out_cells=len(out_keys) * len(b.col_keys))
+    # Routing first: vectorizable() promotes dict operands to the
     # columnar backend, which tiny operands should never pay for.
-    native = a_native and b.backend == "numeric"
-    if not native and a.nnz + b.nnz < VECTORIZE_MIN_NNZ \
-            and len(out_keys) * len(b.col_keys) < 4096:
-        if not (op_pair.has_ufuncs and op_pair.is_numeric):
-            return "generic"
-        candidate = preferred_vector_kernel(op_pair, mode)
-        pick = calibrated_tiny_pick(candidate, float(a.nnz), float(b.nnz),
-                                    float(len(inner_keys)))
-        if pick != candidate:       # "generic" or None (uncalibrated)
-            return "generic"
-        # Measured throughput says vectorise even here: fall through to
-        # the vectorizability check (which may still veto on values).
-    if not sparse_backend.vectorizable(a, b, op_pair):
+    if kernel != "generic" \
+            and not sparse_backend.vectorizable(a, b, op_pair):
         return "generic"
-    return preferred_vector_kernel(op_pair, mode)
+    return kernel
 
 
 def multiply_generic(
@@ -315,9 +284,10 @@ def fold_grouped(
     key tuples are adjacent **and terms within a group sit in fold
     order** (ascending inner key — the caller's stable sort guarantees
     it).  Returns the per-group key arrays and the folded values.
-    Shared by the sortmerge product (grouping on (row, col)) and the
+    Shared by the sortmerge product (grouping on (row, col)), the
     vectorised vector–matrix relaxation (grouping on the output
-    coordinate alone).
+    coordinate alone) and the row/column reductions of
+    :mod:`repro.arrays.reductions` (grouping on the row or column).
 
     Each group starts from its first term and ``add_ufunc.at`` applies
     the others one by one, in order: a strict left fold for every

@@ -12,8 +12,9 @@ exactly when the op's identity annihilates the missing terms, i.e. when
 the entries' op is the ``⊕`` of a certified pair.
 
 Arrays on the numeric backend (:mod:`repro.arrays.backend`) reduce
-through vectorised kernels: ``ufunc.reduceat`` over the CSR/CSC row
-groups for the folds (group order is key order, so the fold order is
+through vectorised kernels: the ``ufunc.at`` left fold of
+:func:`repro.arrays.matmul.fold_grouped` over the CSR/CSC row groups
+for the folds (group order is key order, so the fold order is
 identical to the generic path), ``bincount`` for the pattern counts,
 and index-gathered ufunc application for row/column scaling.  Every
 function falls back to the generic dict implementation for exotic
@@ -35,6 +36,7 @@ from repro.arrays.backend import (
     usable_numeric_zero,
 )
 from repro.arrays.keys import KeySet
+from repro.arrays.matmul import fold_grouped
 from repro.values.operations import BinaryOp
 
 __all__ = [
@@ -86,13 +88,11 @@ def reduce_rows(array: AssociativeArray, op: BinaryOp) -> Dict[Any, Any]:
     order.  Rows with no stored entries are omitted."""
     nb = _fast_backend(array, op)
     if nb is not None:
-        data, _indices, indptr = nb.csr()
-        nonempty = np.flatnonzero(np.diff(indptr))
-        if nonempty.size == 0:
-            return {}
-        reduced = _seed(op, op.ufunc.reduceat(data, indptr[nonempty]))
+        # Storage is (row, col)-sorted: the stored values are CSR data.
+        (rows,), reduced = fold_grouped((nb.rows,), nb.vals, op.ufunc)
         rk = array.row_keys.keys()
-        return {rk[i]: v for i, v in zip(nonempty.tolist(), reduced.tolist())}
+        return {rk[i]: v for i, v in zip(rows.tolist(),
+                                         _seed(op, reduced).tolist())}
     grouped: Dict[Any, list] = {}
     for r, _c, v in array.entries():       # entries() is (row, col)-ordered
         grouped.setdefault(r, []).append(v)
@@ -104,13 +104,11 @@ def reduce_cols(array: AssociativeArray, op: BinaryOp) -> Dict[Any, Any]:
     order.  Columns with no stored entries are omitted."""
     nb = _fast_backend(array, op)
     if nb is not None:
-        data, _rows, indptr, _perm = nb.csc()
-        nonempty = np.flatnonzero(np.diff(indptr))
-        if nonempty.size == 0:
-            return {}
-        reduced = _seed(op, op.ufunc.reduceat(data, indptr[nonempty]))
+        data, _rows, _indptr, perm = nb.csc()
+        (cols,), reduced = fold_grouped((nb.cols[perm],), data, op.ufunc)
         ck = array.col_keys.keys()
-        return {ck[j]: v for j, v in zip(nonempty.tolist(), reduced.tolist())}
+        return {ck[j]: v for j, v in zip(cols.tolist(),
+                                         _seed(op, reduced).tolist())}
     grouped: Dict[Any, list] = {}
     for r, c, v in array.entries():
         grouped.setdefault(c, []).append(v)

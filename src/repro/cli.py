@@ -75,8 +75,8 @@
 ``bench [NAMES...] [--compare A B] [--baseline-refresh --reason WHY]``
     The versioned benchmark harness: run the smoke benchmarks under a
     locked manifest (git sha, machine, config hash), writing
-    ``BENCH_<runid>.json`` + ``report.md`` + the kernel-calibration
-    snapshot; diff two runs' headline metrics against a regression
+    ``BENCH_<runid>.json`` + ``report.md``; diff two runs' headline
+    metrics against a regression
     threshold (exiting non-zero on any regression, with exemplar trace
     links); or re-lock ``BENCH_baseline.json`` with provenance — the
     reason and git sha land in the baseline's manifest (see

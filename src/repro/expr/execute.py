@@ -13,13 +13,11 @@ after common-subexpression elimination, reused sub-queries) evaluate
 once.  Products honour the cost model's kernel choice, validated
 against the actual operands at run time; fused
 :class:`~repro.expr.ast.IncidenceToAdjacency` nodes never materialize
-the transposed array: ``sortmerge`` takes
+the transposed array on the sparse kernels: ``sortmerge`` takes
 :func:`~repro.core.construction.adjacency_array`'s transpose-free
-route, ``scipy`` contracts ``Eᵀ·F`` itself, other kernels run off the
-left operand's cached CSC (the transpose's CSR), with a generic fused
-loop for exotic value sets and a
-:class:`~repro.shard.plan.ShardedAdjacencyPlan` fallback for plans
-whose estimated working set exceeds the memory budget.
+route, ``scipy`` contracts ``Eᵀ·F`` itself, and ``generic`` runs a
+fused loop; a :class:`~repro.shard.plan.ShardedAdjacencyPlan` takes
+plans whose estimated working set exceeds the memory budget.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.arrays.associative import AssociativeArray
-from repro.arrays.elementwise import elementwise_apply, vectorizable_operands
+from repro.arrays.elementwise import elementwise_apply
 from repro.arrays.kron import kron
 from repro.arrays.matmul import multiply
 from repro.arrays.reductions import reduce_cols, reduce_rows
@@ -51,11 +49,7 @@ from repro.expr.ast import (
     lazy,
     topological_order,
 )
-from repro.expr.cost import (
-    CostEstimate,
-    estimate_plan,
-    record_kernel_sample,
-)
+from repro.expr.cost import CostEstimate, estimate_plan
 from repro.obs.events import emit_event
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
@@ -158,10 +152,8 @@ class Plan:
     def _render_kernel_routing(
         self, products: List[Tuple[int, Node]],
     ) -> List[str]:
-        """One audit line per product node: the chosen kernel, the
-        op-pair it serves, the estimated term count, and the
-        seconds-per-term rate (with its measured/calibrated provenance)
-        the estimate was priced with."""
+        """One audit line per product node: the kernel it runs on, the
+        op-pair it serves, the estimated term count and working set."""
         if not products:
             return []
         lines = ["kernel routing (product nodes):"]
@@ -170,15 +162,10 @@ class Plan:
             if est is None:
                 continue
             pair = getattr(node, "op_pair", None)
-            line = (f"  #{num} [{pair.name if pair is not None else '-'}] "
-                    f"kernel={est.kernel}  terms≈{_fmt_count(est.flops)}")
-            if est.seconds is not None and est.flops > 0:
-                rate = est.seconds / est.flops
-                line += (f"  {rate * 1e9:.1f} ns/term "
-                         f"({est.seconds_source or 'measured'})")
-            else:
-                line += "  (no measured/calibrated rate yet)"
-            lines.append(line)
+            lines.append(
+                f"  #{num} [{pair.name if pair is not None else '-'}] "
+                f"kernel={est.kernel}  terms≈{_fmt_count(est.flops)}  "
+                f"~{_fmt_bytes(est.working_bytes)}")
         return lines
 
     def _render_tree(self) -> Tuple[List[str], List[Tuple[int, Node]]]:
@@ -200,9 +187,6 @@ class Plan:
                 if est.kernel != "-":
                     parts.append(f"kernel={est.kernel}")
                 parts.append(f"~{_fmt_bytes(est.working_bytes)}")
-                if est.seconds is not None:
-                    parts.append(f"~{est.seconds * 1e3:.2f} ms "
-                                 f"{est.seconds_source or 'measured'}")
             if id(node) in self.shard_nodes:
                 parts.append("→ shard executor (over budget)")
             return "  ".join(parts)
@@ -392,15 +376,16 @@ class _Executor:
     # -- products ------------------------------------------------------------
     def _kernel_for(self, node: Node, a: AssociativeArray,
                     b: AssociativeArray) -> str:
-        """The cost model's kernel, demoted to ``auto`` when the actual
-        operands disprove the numeric prediction."""
+        """The cost model's kernel, demoted to ``generic`` when the
+        actual operands' values do not vectorise (the planner cannot
+        see values)."""
         est = self.plan.estimates.get(id(node))
         kernel = est.kernel if est is not None else "auto"
         if kernel in ("scipy", "sortmerge", "dense_blocked"):
             from repro.arrays.sparse_backend import vectorizable
             if not vectorizable(a, b, node.op_pair):
                 return "generic"
-        return kernel if kernel != "-" else "auto"
+        return kernel
 
     @staticmethod
     def _empty_product(node, a: AssociativeArray,
@@ -415,8 +400,9 @@ class _Executor:
         return None
 
     def _timed_product(self, node: Node, kernel: str, fn):
-        """Run one product; feed (kernel, terms, seconds) back into the
-        measured cost model, the active trace, and the event log.
+        """Run one product; record its wall time on the
+        ``expr_kernel_seconds`` histogram, the active trace, and the
+        event log.
 
         The event makes every routing decision auditable after the
         fact: which kernel actually ran, for which op-pair, over how
@@ -429,7 +415,9 @@ class _Executor:
             started = time.perf_counter()
             result = fn()
             elapsed = time.perf_counter() - started
-        record_kernel_sample(kernel, terms, elapsed)
+        get_registry().histogram(
+            "expr_kernel_seconds", "Wall time of one product kernel call",
+            kernel=kernel).observe(elapsed)
         pair = getattr(node, "op_pair", None)
         emit_event("expr.kernel", kernel=kernel,
                    op_pair=pair.name if pair is not None else "-",
@@ -456,40 +444,21 @@ class _Executor:
             return empty
         if id(node) in self.plan.shard_nodes:
             return self._sharded(node, e, f)
-        if node.mode == "sparse":
-            backends = vectorizable_operands(e, f)
-            if backends is not None:
-                ne, nf = backends
-                kernel = self._kernel_for(node, e, f)
-                if kernel == "scipy":
-                    # ⊕.⊗ = +.×: hand both CSR forms to scipy and let
-                    # its O(nnz) counting transpose contract ``saᵀ·sb``
-                    # — no transposed array, no comparison sort.
-                    return self._timed_product(
-                        node, "scipy",
-                        lambda: _fused_scipy(node, ne, nf, e, f))
-                if kernel == "sortmerge":
-                    # The transpose-free construction route: E's own
-                    # COO arrays are Eᵀ's CSC order.
-                    return self._timed_product(
-                        node, "sortmerge",
-                        lambda: adjacency_array(e, f, node.op_pair,
-                                                kernel="sortmerge"))
-                # E's cached CSC *is* Eᵀ's CSR: adopt it directly —
-                # the fused kernel never builds a transposed array.
-                et = AssociativeArray._adopt(
-                    ne.transposed(), e.col_keys, e.row_keys, e.zero)
-                return self._timed_product(
-                    node, kernel,
-                    lambda: multiply(et, f, node.op_pair, mode="sparse",
-                                     kernel=kernel))
+        kernel = self._kernel_for(node, e, f)
+        if node.mode == "sparse" and kernel == "generic":
             return self._timed_product(
-                node, "generic",
-                lambda: _fused_generic(e, f, node.op_pair))
+                node, kernel, lambda: _fused_generic(e, f, node.op_pair))
+        if kernel == "scipy":
+            # ⊕.⊗ = +.×: hand both CSR forms to scipy and let its O(nnz)
+            # counting transpose contract ``saᵀ·sb`` — no transposed
+            # array, no comparison sort.
+            ne, nf = e.numeric_backend(), f.numeric_backend()
+            return self._timed_product(
+                node, kernel, lambda: _fused_scipy(node, ne, nf, e, f))
         return self._timed_product(
-            node, "dense_blocked",
-            lambda: multiply(e.transpose(), f, node.op_pair,
-                             mode="dense", kernel="auto"))
+            node, kernel,
+            lambda: adjacency_array(e, f, node.op_pair, mode=node.mode,
+                                    kernel=kernel))
 
     def _sharded(self, node: IncidenceToAdjacency, e: AssociativeArray,
                  f: AssociativeArray) -> AssociativeArray:

@@ -1,6 +1,6 @@
 """``repro.obs`` — unified observability: metrics, tracing, benchmarks.
 
-The measurement substrate the ROADMAP's scaling items gate on.  Five
+The measurement substrate the ROADMAP's scaling items gate on.  Six
 dependency-free pieces, threaded through every hot layer:
 
 * :mod:`repro.obs.metrics` — a thread-safe registry of counters,
@@ -21,14 +21,10 @@ dependency-free pieces, threaded through every hot layer:
   log (epoch publications, rewrite refusals, shard spills, cache
   invalidations, bench runs), each event stamped with the active trace
   id; served by ``GET /events`` and ``repro events --follow``.
-* :mod:`repro.obs.calibration` — the persistent kernel-calibration
-  store: EWMA seconds-per-term per (kernel, machine fingerprint),
-  saved to a versioned JSON file so a *cold* process's first
-  ``explain()`` plans with measured throughput.
 * :mod:`repro.obs.bench` — the versioned benchmark harness behind
   ``repro bench``: run-id'd runs with locked manifests (git sha,
   machine info, config hash), ``BENCH_<runid>.json`` + ``report.md``
-  + calibration-snapshot artifacts, ``--compare`` regression gates
+  artifacts, ``--compare`` regression gates
   with exemplar trace links, and the ``--baseline-refresh`` lifecycle
   (provenance-stamped re-locking of ``BENCH_baseline.json``).
 * :mod:`repro.obs.loadgen` — workload capture (sampled, schema-
@@ -64,13 +60,6 @@ from repro.obs.bench import (
     render_markdown,
     run_benchmarks,
     run_metadata,
-)
-from repro.obs.calibration import (
-    CalibrationStore,
-    calibration_enabled,
-    get_calibration_store,
-    machine_fingerprint,
-    reset_calibration_store,
 )
 from repro.obs.events import Event, EventLog, emit_event, get_event_log
 from repro.obs.loadgen import (
@@ -131,7 +120,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "BenchError",
-    "CalibrationStore",
     "CompareResult",
     "Counter",
     "DEFAULT_HZ",
@@ -159,7 +147,6 @@ __all__ = [
     "WorkloadRecorder",
     "active_session",
     "arrival_offsets",
-    "calibration_enabled",
     "compare",
     "config_hash",
     "current_ids",
@@ -169,7 +156,6 @@ __all__ = [
     "diff_function_tables",
     "discover_benchmarks",
     "emit_event",
-    "get_calibration_store",
     "get_event_log",
     "get_profile_ring",
     "get_registry",
@@ -180,7 +166,6 @@ __all__ = [
     "load_profile_functions",
     "load_run",
     "log_buckets",
-    "machine_fingerprint",
     "parse_collapsed",
     "refresh_baseline",
     "render_flamegraph_html",
@@ -192,7 +177,6 @@ __all__ = [
     "render_sweep",
     "render_trace",
     "replay",
-    "reset_calibration_store",
     "run_benchmarks",
     "run_metadata",
     "set_span_observer",

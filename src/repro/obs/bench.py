@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.calibration import get_calibration_store
 from repro.obs.events import emit_event
 from repro.obs.metrics import get_registry
 from repro.obs.profile import (active_session, heap_delta, start_profile,
@@ -259,13 +258,6 @@ def run_benchmarks(
     exemplars = harvest_exemplars()
     if exemplars:
         doc["exemplars"] = exemplars
-    # Snapshot the kernel calibration the run produced (and ran under):
-    # the run artifact then records the throughput numbers cold planners
-    # on this machine will use.
-    store = get_calibration_store()
-    if store is not None:
-        store.flush()
-        doc["calibration"] = store.snapshot()
     if run_profile is not None:
         doc["profile"] = {
             "profile_id": run_profile.profile_id,
@@ -285,12 +277,6 @@ def run_benchmarks(
         md_path = out / "report.md"
         md_path.write_text(render_markdown(doc), encoding="utf-8")
         doc["artifacts"] = {"json": str(json_path), "markdown": str(md_path)}
-        if "calibration" in doc:
-            cal_path = out / "calibration.json"
-            cal_path.write_text(
-                json.dumps(doc["calibration"], indent=2, sort_keys=True,
-                           default=str) + "\n", encoding="utf-8")
-            doc["artifacts"]["calibration"] = str(cal_path)
         if run_profile is not None:
             collapsed_path = out / "profile.collapsed"
             collapsed_path.write_text(run_profile.collapsed(),

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.arrays.associative import AssociativeArray
@@ -12,23 +10,6 @@ from repro.values.semiring import get_op_pair
 
 # Exotic pairs register on import (also re-exported via tests.helpers).
 import repro.values.exotic  # noqa: F401
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _isolated_calibration(tmp_path_factory):
-    """Point the persistent kernel-calibration store at a session-local
-    temp file so tests never read or write ``~/.repro``."""
-    from repro.obs.calibration import reset_calibration_store
-    path = tmp_path_factory.mktemp("calibration") / "calibration.json"
-    old = os.environ.get("REPRO_CALIBRATION_PATH")
-    os.environ["REPRO_CALIBRATION_PATH"] = str(path)
-    reset_calibration_store()
-    yield
-    if old is None:
-        os.environ.pop("REPRO_CALIBRATION_PATH", None)
-    else:
-        os.environ["REPRO_CALIBRATION_PATH"] = old
-    reset_calibration_store()
 
 
 @pytest.fixture

@@ -180,6 +180,30 @@ class TestExplain:
         assert "(shared node" in out      # CSE across the hop chain
         assert "executed in" in out
 
+    def test_explain_execute_leaves_home_untouched(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        import repro
+        po, pi = tmp_path / "eout.tsv", tmp_path / "ein.tsv"
+        po.write_text("e1\talice\t2\ne2\talice\t3\ne3\tbob\t5\n")
+        pi.write_text("e1\tbob\t1\ne2\tbob\t1\ne3\tcarol\t1\n")
+        home = tmp_path / "home"
+        home.mkdir()
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env.update(HOME=str(home), PYTHONPATH=str(
+            Path(repro.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "explain", str(po), str(pi),
+             "--pair", "min_plus", "--execute"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert "[min_plus] kernel=generic" in proc.stdout
+        assert "(dict backend)" in proc.stdout      # generic ran
+        assert not any(home.iterdir())
+
     def test_explain_reduce_fusion(self, tmp_path, capsys):
         po, pi = self._incidence_pair(tmp_path)
         assert main(["explain", po, pi, "--reduce", "rows"]) == 0

@@ -130,16 +130,8 @@ class TestCorrelate:
 class TestTransposeFreeRoute:
     """``adjacency_array`` hands ``Eout``'s own COO arrays to sortmerge
     as ``Eoutᵀ``'s CSC; every other route keeps multiplying
-    ``Eout.transpose()``, and the kernel decision is unchanged."""
-
-    @pytest.fixture
-    def isolated_store(self, tmp_path, monkeypatch):
-        from repro.obs.calibration import reset_calibration_store
-        monkeypatch.setenv("REPRO_CALIBRATION_PATH",
-                           str(tmp_path / "calibration.json"))
-        reset_calibration_store()
-        yield
-        reset_calibration_store()
+    ``Eout.transpose()``.  The kernel decision is the transposed
+    product's, and an expression plan names the kernel that runs."""
 
     @staticmethod
     def _weighted(pair, n_edges, seed=3):
@@ -168,7 +160,7 @@ class TestTransposeFreeRoute:
         assert reverse_adjacency_array(eout, ein, pair) == backward
 
     def test_tiny_dict_operands_stay_generic_with_int_values(
-            self, small_graph, isolated_store):
+            self, small_graph):
         pair = get_op_pair("min_plus")
         eout, ein = incidence_arrays(small_graph, zero=pair.zero, one=2)
         adj = adjacency_array(eout, ein, pair)
@@ -181,15 +173,75 @@ class TestTransposeFreeRoute:
     @pytest.mark.parametrize("n_edges", [20, 400])
     @pytest.mark.parametrize("name", ["min_plus", "plus_times"])
     def test_kernel_decision_matches_the_transposed_product(
-            self, e_form, f_form, n_edges, name, isolated_store):
+            self, e_form, f_form, n_edges, name):
         from repro.arrays.matmul import _pick_kernel
         pair = get_op_pair(name)
-        e, f = self._weighted(pair, n_edges)
+        e, f = self._operands(pair, n_edges, e_form, f_form)
+        picked = _pick_kernel(e, f, pair, "sparse", transposed=True)
+        assert picked == _pick_kernel(e.transpose(), f, pair, "sparse")
+
+    @classmethod
+    def _operands(cls, pair, n_edges, e_form, f_form):
+        e, f = cls._weighted(pair, n_edges)
         if e_form == "promoted":
             e.numeric_backend()          # dict storage, cached promotion
         elif e_form == "numeric":
             e = e.with_backend("numeric")
         if f_form == "numeric":
             f = f.with_backend("numeric")
-        picked = _pick_kernel(e, f, pair, "sparse", transposed=True)
-        assert picked == _pick_kernel(e.transpose(), f, pair, "sparse")
+        return e, f
+
+    @staticmethod
+    def _planned_run_and_eager(expr, a, b, pair, *, transposed):
+        """The plan's kernel for the product, the kernel the
+        ``expr.kernel`` event says ran, and eager ``_pick_kernel``."""
+        from repro.arrays.matmul import _pick_kernel
+        from repro.expr import plan
+        from repro.expr.ast import topological_order
+        from repro.obs.events import get_event_log
+        the_plan = plan(expr)
+        (product,) = [n for n in topological_order(the_plan.root)
+                      if n.kind in ("matmul", "incidence_to_adjacency")]
+        eager = _pick_kernel(a, b, pair, "sparse", transposed=transposed)
+        the_plan.execute()
+        (event,) = get_event_log().events(kind="expr.kernel", limit=1)
+        return the_plan.estimates[id(product)].kernel, event["kernel"], eager
+
+    @pytest.mark.parametrize("e_form", ["dict", "promoted", "numeric"])
+    @pytest.mark.parametrize("f_form", ["dict", "numeric"])
+    @pytest.mark.parametrize("n_edges", [20, 400])
+    @pytest.mark.parametrize("name", ["min_plus", "plus_times"])
+    def test_plan_names_the_kernel_that_runs(self, e_form, f_form,
+                                             n_edges, name):
+        from repro.expr import lazy
+        pair = get_op_pair(name)
+        e, f = self._operands(pair, n_edges, e_form, f_form)
+        expr = lazy(e).T.matmul(lazy(f), pair)
+        planned, ran, eager = self._planned_run_and_eager(
+            expr, e, f, pair, transposed=True)
+        assert planned == ran == eager
+
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("form", ["dict", "numeric"])
+    @pytest.mark.parametrize("name", ["min_plus", "plus_times"])
+    def test_plan_names_the_kernel_that_runs_on_tiny_operands(
+            self, fused, form, name):
+        from repro.expr import lazy
+        pair = get_op_pair(name)
+        # The 3-edge incidence pair of the command-line walkthrough.
+        edges = ["e1", "e2", "e3"]
+        e = AssociativeArray({("e1", "alice"): 2, ("e2", "alice"): 3,
+                              ("e3", "bob"): 5}, row_keys=edges,
+                             zero=pair.zero)
+        f = AssociativeArray({("e1", "bob"): 1, ("e2", "bob"): 1,
+                              ("e3", "carol"): 1}, row_keys=edges,
+                             zero=pair.zero)
+        if form == "numeric":
+            e, f = e.with_backend("numeric"), f.with_backend("numeric")
+        a = e if fused else e.transpose()
+        expr = lazy(e).T.matmul(lazy(f), pair) if fused \
+            else lazy(a).matmul(lazy(f), pair)
+        kernels = self._planned_run_and_eager(expr, a, f, pair,
+                                              transposed=fused)
+        vector = "scipy" if name == "plus_times" else "sortmerge"
+        assert kernels == (("generic" if form == "dict" else vector),) * 3

@@ -411,11 +411,59 @@ class TestDeepChains:
         assert time.perf_counter() - t0 < 2.0
 
 
+_EXPLAIN_SCRIPT = """
+import sys
+from repro.arrays.associative import AssociativeArray
+from repro.expr import evaluate, explain, lazy
+from repro.graphs.generators import rmat_multigraph
+from repro.graphs.incidence import incidence_arrays
+from repro.values.semiring import get_op_pair
+
+mp, pt = get_op_pair("min_plus"), get_op_pair("plus_times")
+edges = ["e1", "e2", "e3"]
+eout = AssociativeArray({("e1", "alice"): 2, ("e2", "alice"): 3,
+                         ("e3", "bob"): 5}, row_keys=edges, zero=mp.zero)
+ein = AssociativeArray({("e1", "bob"): 1, ("e2", "bob"): 1,
+                        ("e3", "carol"): 1}, row_keys=edges, zero=mp.zero)
+gout, gin = incidence_arrays(rmat_multigraph(7, 300, seed=17))
+exprs = [lazy(eout, "Eout").T.matmul(lazy(ein, "Ein"), mp),
+         lazy(gout, "Eout").T.matmul(lazy(gin, "Ein"), pt)]
+if sys.argv[1:] == ["evaluate"]:
+    for expr in exprs:
+        evaluate(expr)
+for expr in exprs:
+    print(explain(expr))
+"""
+
+
+def _old_rate_file() -> dict:
+    """A per-kernel rate file in the retired ``repro-calibration/v1``
+    format, keyed by this machine's digest as that format was, whose
+    rates (generic 1 ms/term, sortmerge 10 ns/term) would move a tiny
+    min.+ product onto sortmerge if anything still read them."""
+    import hashlib
+    import json
+    import os
+    import platform
+    info = {"machine": platform.machine(),
+            "processor": platform.processor(),
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "implementation": platform.python_implementation()}
+    digest = hashlib.sha256(json.dumps(info, sort_keys=True, default=str)
+                            .encode("utf-8")).hexdigest()[:12]
+    kernels = {"generic": {"seconds_per_term": 1e-3, "samples": 1},
+               "sortmerge": {"seconds_per_term": 1e-8, "samples": 1}}
+    return {"schema": "repro-calibration/v1", "updated_at": None,
+            "machines": {digest: {"info": info, "kernels": kernels}}}
+
+
 class TestKernelRouting:
     """Routing decisions are auditable: explain() carries a kernel
-    routing section with calibrated per-kernel rates, the executor
-    emits an event per product, and the runtime validation demotes a
-    vectorised pick the actual operands disprove."""
+    routing section that is a function of the plan's operands alone,
+    the executor emits an event per product, and the runtime
+    validation demotes a vectorised pick the actual operands
+    disprove."""
 
     def _minplus_product(self, scale=7, edges=400):
         pair = get_op_pair("min_plus")
@@ -435,14 +483,41 @@ class TestKernelRouting:
         assert "kernel routing (product nodes):" in text
         assert "[min_plus] kernel=sortmerge" in text
 
-    def test_explain_reports_calibrated_rate_after_execution(self):
-        expr, _eout, _ein, _pair = self._minplus_product()
-        evaluate(expr)                     # records a sortmerge sample
-        text = explain(expr)
-        routing = [ln for ln in text.splitlines()
-                   if "[min_plus] kernel=sortmerge" in ln]
-        assert routing and "ns/term" in routing[0]
-        assert "measured" in routing[0] or "calibrated" in routing[0]
+    def test_explain_is_identical_across_fresh_processes(self, tmp_path):
+        # Three fresh interpreters: an empty HOME; a HOME holding an
+        # old per-kernel rate file; one that runs the expressions before
+        # explaining them.  None may change a byte of explain().
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        import repro
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        outputs, homes = [], []
+        for case in ("empty", "rate-file", "evaluate"):
+            home = tmp_path / case
+            home.mkdir()
+            if case == "rate-file":
+                (home / ".repro").mkdir()
+                (home / ".repro" / "calibration.json").write_text(
+                    json.dumps(_old_rate_file()), encoding="utf-8")
+            env = {k: v for k, v in os.environ.items()
+                   if not k.startswith("REPRO_")}
+            env.update(HOME=str(home), PYTHONPATH=src)
+            args = ["evaluate"] if case == "evaluate" else []
+            proc = subprocess.run(
+                [sys.executable, "-c", _EXPLAIN_SCRIPT, *args],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            outputs.append(proc.stdout)
+            homes.append(home)
+        assert "[min_plus] kernel=generic  terms≈3" in outputs[0]
+        assert "[plus_times] kernel=scipy" in outputs[0]
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+        assert not any(homes[0].iterdir())
+        assert not any(homes[2].iterdir())
 
     def test_executor_emits_kernel_event(self):
         from repro.obs.events import get_event_log

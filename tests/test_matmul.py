@@ -275,70 +275,3 @@ class TestAutoKernelRouting:
         b = _arr({("k", "u"): 1.0}, ["k"], ["u"], zero=pair.zero)
         with pytest.raises(MatmulError, match="sparse semantics"):
             multiply(a, b, pair, kernel="sortmerge", mode="dense")
-
-
-class TestCalibratedTinyPick:
-    """The tiny-operand bailout consults measured per-kernel throughput
-    from the calibration store when both contenders have rates."""
-
-    @pytest.fixture
-    def isolated_store(self, tmp_path, monkeypatch):
-        from repro.obs.calibration import (
-            get_calibration_store,
-            reset_calibration_store,
-        )
-        monkeypatch.setenv("REPRO_CALIBRATION_PATH",
-                           str(tmp_path / "calibration.json"))
-        reset_calibration_store()
-        yield get_calibration_store()
-        reset_calibration_store()
-
-    def _tiny_operands(self, pair):
-        a = _arr({("r0", "k0"): 2.0, ("r0", "k1"): 5.0, ("r1", "k1"): 1.0},
-                 ["r0", "r1"], ["k0", "k1"], zero=pair.zero)
-        b = _arr({("k0", "c0"): 3.0, ("k1", "c0"): 4.0},
-                 ["k0", "k1"], ["c0"], zero=pair.zero)
-        return a, b
-
-    def test_uncalibrated_falls_back_to_static_threshold(self,
-                                                         isolated_store):
-        from repro.arrays.matmul import _pick_kernel
-        pair = get_op_pair("min_plus")
-        a, b = self._tiny_operands(pair)
-        assert _pick_kernel(a, b, pair, "sparse") == "generic"
-
-    def test_rates_favour_generic_on_tiny_terms(self, isolated_store):
-        from repro.arrays.matmul import _pick_kernel
-        pair = get_op_pair("min_plus")
-        a, b = self._tiny_operands(pair)
-        # Both calibrated; the handful of terms cannot amortise the
-        # vectorised kernel's promotion/call surcharge.
-        isolated_store.record("generic", terms=1e6, seconds=1.0)
-        isolated_store.record("sortmerge", terms=1e8, seconds=1.0)
-        assert _pick_kernel(a, b, pair, "sparse") == "generic"
-
-    def test_rates_can_overrule_static_threshold(self, isolated_store):
-        from repro.arrays.matmul import calibrated_tiny_pick
-        # Realistic rates (generic ~1 µs/term, sortmerge ~10 ns/term):
-        # with enough estimated terms the vectorised kernel wins even
-        # below the static nnz threshold ...
-        isolated_store.record("generic", terms=1e6, seconds=1.0)
-        isolated_store.record("sortmerge", terms=1e8, seconds=1.0)
-        assert calibrated_tiny_pick("sortmerge", nnz_a=100.0, nnz_b=100.0,
-                                    inner=2.0) == "sortmerge"
-        # ... but a negligible term count stays generic (the surcharge
-        # dominates).
-        assert calibrated_tiny_pick("sortmerge", nnz_a=2.0, nnz_b=2.0,
-                                    inner=2.0) == "generic"
-
-    def test_calibration_disabled_returns_none(self, monkeypatch):
-        from repro.arrays.matmul import calibrated_tiny_pick
-        from repro.obs.calibration import reset_calibration_store
-        monkeypatch.setenv("REPRO_CALIBRATION", "0")
-        reset_calibration_store()
-        try:
-            assert calibrated_tiny_pick("sortmerge", 100.0, 100.0, 2.0) \
-                is None
-        finally:
-            monkeypatch.delenv("REPRO_CALIBRATION")
-            reset_calibration_store()

@@ -237,26 +237,6 @@ class TestExemplarsAndCalibrationInRuns:
         reg.histogram("quiet_seconds", "test").observe(0.1)   # no trace
         assert harvest_exemplars(reg) == {}
 
-    def test_run_doc_carries_calibration_and_artifact(
-            self, bench_dir, tmp_path, monkeypatch):
-        from repro.obs.calibration import reset_calibration_store
-        monkeypatch.setenv("REPRO_CALIBRATION_PATH",
-                           str(tmp_path / "cal.json"))
-        reset_calibration_store()
-        try:
-            out = tmp_path / "runs"
-            doc = run_benchmarks(["bench_dummy"], outdir=out,
-                                 bench_dir=bench_dir)
-            assert doc["calibration"]["schema"] == "repro-calibration/v1"
-            assert "active_fingerprint" in doc["calibration"]
-            cal_artifact = doc["artifacts"]["calibration"]
-            on_disk = json.loads((out / "calibration.json")
-                                 .read_text(encoding="utf-8"))
-            assert cal_artifact.endswith("calibration.json")
-            assert on_disk["schema"] == "repro-calibration/v1"
-        finally:
-            reset_calibration_store()
-
     def test_describe_with_exemplars_links_traces(self):
         base = make_run_doc("base", {"serve": {
             "khop_cold_ms": metric(10.0, "lower", "ms")}})

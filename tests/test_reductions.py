@@ -50,6 +50,24 @@ class TestReduce:
         want = SKEW_PLUS(SKEW_PLUS(1, 2), 3)
         assert got == want
 
+    @pytest.mark.parametrize("backend", ["dict", "numeric"])
+    @pytest.mark.parametrize("axis", ["rows", "cols"])
+    def test_float_sum_is_a_left_fold_on_both_backends(self, axis,
+                                                       backend):
+        # (3 + 1e16) + -1e16 is 4.0 in float64; 3 + (1e16 + -1e16), the
+        # grouping ``np.add.reduceat`` uses, would be 3.0.
+        cells = ["k1", "k2", "k3"]
+        values = dict(zip(cells, (3.0, 1e16, -1e16)))
+        if axis == "rows":
+            a = AssociativeArray({("x", k): v for k, v in values.items()},
+                                 row_keys=["x"], col_keys=cells)
+            got = reduce_rows(a.with_backend(backend), PLUS)
+        else:
+            a = AssociativeArray({(k, "x"): v for k, v in values.items()},
+                                 row_keys=cells, col_keys=["x"])
+            got = reduce_cols(a.with_backend(backend), PLUS)
+        assert got == {"x": 4.0}
+
     def test_total_reduce(self, arr):
         assert total_reduce(arr, PLUS) == 10
         assert total_reduce(arr, MAX_ZERO) == 4
