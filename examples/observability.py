@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Observability: metrics, span traces, and the benchmark harness.
+"""Observability: metrics, span traces, exemplars and the event log.
 
 Every subsystem is instrumented through one dependency-free layer,
 :mod:`repro.obs` — counters/gauges/histograms on thread-safe
@@ -18,11 +18,9 @@ example walks the surface without starting an HTTP server:
    expression planning, kernel execution — attaches itself beneath it;
 4. read the per-kernel product timings the expression executor
    records (``expr_kernel_seconds{kernel=...}`` on ``/metrics``);
-5. fabricate two benchmark-harness runs and diff them with the same
-   regression gate CI applies (``repro bench --compare``);
-6. find the OpenMetrics exemplars that link slow histogram buckets
+5. find the OpenMetrics exemplars that link slow histogram buckets
    back to trace ids on the exposition ``GET /metrics`` renders;
-7. read the structured event log — the same ring ``GET /events`` and
+6. read the structured event log — the same ring ``GET /events`` and
    ``repro events --follow`` expose — and see the publication events
    the service emitted above, stamped with their trace ids.
 
@@ -35,7 +33,6 @@ import repro
 from repro.expr import evaluate, lazy
 from repro.graphs.generators import rmat_multigraph
 from repro.obs import Tracer, get_registry, render_prometheus, render_trace
-from repro.obs.bench import compare
 from repro.serve import AdjacencyService
 
 
@@ -106,21 +103,7 @@ def main() -> None:
                   f"p50 {hist.percentile(0.5) * 1e3:.3f} ms")
 
     # ------------------------------------------------------------------
-    # 5. The regression gate, on two fabricated harness runs.
-    # ------------------------------------------------------------------
-    def run_doc(run_id, cold_ms):
-        return {"run_id": run_id, "headline": {"serve": {
-            "khop_cold_ms": {"value": cold_ms, "direction": "lower",
-                             "unit": "ms"}}}}
-
-    result = compare(run_doc("baseline", 10.0),
-                     run_doc("candidate", 15.0), threshold=0.20)
-    print("\n— repro bench --compare, the CI gate —")
-    print(result.describe())
-    assert not result.ok                      # +50% > 20%: gated
-
-    # ------------------------------------------------------------------
-    # 6. Exemplars: histogram buckets link back to trace ids.
+    # 5. Exemplars: histogram buckets link back to trace ids.
     # ------------------------------------------------------------------
     print("\n— exemplar-bearing bucket lines on /metrics —")
     exposition = render_prometheus(service.metrics, get_registry())
@@ -129,14 +112,10 @@ def main() -> None:
         if " # {" in line and shown < 3:
             print(f"  {line}")
             shown += 1
-    # The same links, harvested as a dict (what bench runs embed).
-    from repro.obs import harvest_exemplars
-    for key, ex in sorted(harvest_exemplars(service.metrics).items()):
-        print(f"  {key}: trace {ex['trace_id']} "
-              f"value {ex['value'] * 1e3:.3f} ms")
+    assert shown, "the k-hop queries above should have left exemplars"
 
     # ------------------------------------------------------------------
-    # 7. The event log: lifecycle moments, stamped with trace ids.
+    # 6. The event log: lifecycle moments, stamped with trace ids.
     # ------------------------------------------------------------------
     from repro.obs import get_event_log
     log = get_event_log()

@@ -19,8 +19,7 @@ in-process (``repro profile start|stop|dump|diff`` and
 4. account heap growth around a labelled block with ``tracemalloc``
    (``memory=True`` sessions bracket epoch publications the same way);
 5. diff two profiles by self-time *share* — the function-level
-   regression report ``repro bench --compare`` prints for profiled
-   runs.
+   regression report ``repro profile diff`` prints.
 
 Run:  python examples/profiling.py
 """
@@ -123,7 +122,7 @@ def main() -> None:
           f"top growth site: {delta['top'][0]['site'] if delta['top'] else 'n/a'}")
 
     # ------------------------------------------------------------------
-    # 5. Profile diffs by self-time share (the bench --compare report).
+    # 5. Profile diffs by self-time share (the repro profile diff report).
     # ------------------------------------------------------------------
     baseline = profile.function_totals()
     candidate = {name: dict(counts) for name, counts

@@ -42,10 +42,32 @@ from repro.arrays.backend import (
 from repro.arrays.keys import KeyError_, KeySet, Selector
 from repro.values.equality import values_equal as _values_equal
 
-__all__ = ["AssociativeArray"]
+__all__ = ["AssociativeArray", "transpose_is_numeric"]
 
-#: Cache sentinel: "we tried to promote to numeric storage and could not".
+#: Cache sentinel: promotion to numeric storage not tried yet (a cached
+#: ``None`` means it was tried and failed).
 _NO_NUMERIC = object()
+
+
+def transpose_is_numeric(*, native: bool, promotion: Optional[bool],
+                         nnz: float) -> bool:
+    """Whether the transpose of an array is stored on the numeric backend.
+
+    ``native``: the array is stored numeric.  ``promotion``: whether
+    promoting its dict store succeeds — known ``False`` for a pinned
+    array or one whose zero is not a plain number, cached once tried,
+    ``None`` while untried.  A dict-stored array's transpose reuses a
+    successful promotion, and promotes an untried array of at least
+    ``VECTORIZE_MIN_NNZ`` entries (assumed here to succeed).  Smaller
+    arrays stay on the dict path, as in the other kernels, so exact
+    Python value types are kept for the paper-figure cases.
+
+    :meth:`AssociativeArray.transpose`, the transposed product's kernel
+    routing and the expression cost model all decide through here.
+    """
+    if native or promotion:
+        return True
+    return promotion is None and nnz >= VECTORIZE_MIN_NNZ
 
 
 class AssociativeArray:
@@ -518,30 +540,37 @@ class AssociativeArray:
     # ------------------------------------------------------------------
     # Structural operations
     # ------------------------------------------------------------------
-    def transpose(self) -> "AssociativeArray":
-        """Definition I.2: ``Aᵀ(k2, k1) = A(k1, k2)``."""
+    def transposes_numeric(self) -> bool:
+        """Whether :meth:`transpose` stores its result on the numeric
+        backend: :func:`transpose_is_numeric` on this array's storage,
+        its promotion state and its size."""
         be = self._backend
-        if be.kind == "numeric":
-            # Index-array permutation; this array's cached CSC becomes
-            # the transpose's CSR, so Aᵀ arrives pre-compiled.
-            return AssociativeArray._adopt(be.transposed(), self._col_keys,
-                                           self._row_keys, self._zero)
-        # Dict storage: reuse an already-promoted columnar form — or
-        # promote a large array — and transpose by index permutation
-        # instead of rebuilding (and re-validating) a transposed dict.
-        # The bailout matches the other kernels: small arrays stay on
-        # the generic path so exact Python value types are preserved
-        # for the paper-figure cases, and pins are honoured.
-        if not be.pinned:
+        promotion: Optional[bool] = None
+        if be.kind == "dict" and (be.pinned
+                                  or not usable_numeric_zero(self._zero)):
+            promotion = False
+        else:
             cached = self._cache.get("numeric_backend", _NO_NUMERIC)
-            promoted = cached if cached is not _NO_NUMERIC else None
-            if promoted is None and cached is _NO_NUMERIC \
-                    and self.nnz >= VECTORIZE_MIN_NNZ:
-                promoted = self.numeric_backend()
-            if promoted is not None:
-                return AssociativeArray._adopt(
-                    promoted.transposed(), self._col_keys, self._row_keys,
-                    self._zero)
+            if cached is not _NO_NUMERIC:
+                promotion = cached is not None
+        return transpose_is_numeric(native=be.kind == "numeric",
+                                    promotion=promotion, nnz=self.nnz)
+
+    def transpose(self) -> "AssociativeArray":
+        """Definition I.2: ``Aᵀ(k2, k1) = A(k1, k2)``.
+
+        When :meth:`transposes_numeric` holds, the columnar form (native,
+        a cached promotion, or a promotion made now) is transposed by
+        index-array permutation: its cached CSC becomes the transpose's
+        CSR, so Aᵀ arrives pre-compiled.  Otherwise the transposed dict
+        is rebuilt.
+        """
+        if self.transposes_numeric():
+            nb = self.numeric_backend()
+            if nb is not None:
+                return AssociativeArray._adopt(nb.transposed(),
+                                               self._col_keys,
+                                               self._row_keys, self._zero)
         data = {(c, r): v for (r, c), v in self._data.items()}
         return AssociativeArray(data, row_keys=self._col_keys,
                                 col_keys=self._row_keys, zero=self._zero,

@@ -141,17 +141,17 @@ def route_kernel(op_pair: OpPair, mode: str, *, a_native: bool,
 
 def holds_numeric(array: AssociativeArray, *,
                   transposed: bool = False) -> bool:
-    """Whether ``array`` (or, with ``transposed=True``, its transpose)
-    already holds the numeric backend, so a vectorised kernel pays no
-    promotion for it.
+    """Whether ``array`` (or, with ``transposed=True``,
+    ``array.transpose()``) is stored on the numeric backend.
 
-    ``array.transpose()`` is numeric-backed exactly when ``array`` holds
-    a columnar form, native or a cached promotion: below the size
-    bailout :meth:`AssociativeArray.transpose` never promotes.
+    :func:`route_kernel` reads it only for a tiny product, whose
+    operands stay below the size at which
+    :meth:`AssociativeArray.transpose` promotes, so there it means that a
+    vectorised kernel pays no promotion for the operand.
     """
-    if array.backend == "numeric":
-        return True
-    return transposed and array._cache.get("numeric_backend") is not None
+    if transposed:
+        return array.transposes_numeric()
+    return array.backend == "numeric"
 
 
 def _pick_kernel(a: AssociativeArray, b: AssociativeArray,

@@ -48,42 +48,20 @@
     over ``--source`` for ``--seconds``, printing the hottest
     functions and optionally writing collapsed stacks (``-o``) and a
     self-contained HTML flamegraph (``--flame``); ``diff`` compares
-    two profile artifacts (collapsed files, profile JSON, or profiled
-    ``BENCH_*.json`` runs) function-by-function, most regressed
-    first.  Every dump carries the sampler's self-measured
-    ``overhead_ratio``.
+    two profile artifacts (collapsed files or profile JSON)
+    function-by-function, most regressed first.  Every dump carries
+    the sampler's self-measured ``overhead_ratio``.
 ``events [--follow] [--interval S] [--since SEQ] [--kind KIND]``
     Print a running server's structured event log (epoch publications,
-    rewrite refusals, shard spills, cache invalidations, bench runs,
-    loadgen steps/breaches) as JSON Lines; ``--follow`` tails it with
-    a seq cursor every ``--interval`` seconds, and ``--kind`` filters
-    by exact kind, comma-separated kinds, or a ``prefix.*`` wildcard
-    (``--kind 'loadgen.*'`` watches a sweep live; see
-    :mod:`repro.obs.events`).
-``loadgen record|replay|sweep``
-    The workload-capture and open-loop load-generation subsystem
-    (:mod:`repro.obs.loadgen`): ``record`` synthesizes a replayable
-    schema-versioned JSONL workload from a query-mix spec over a
-    source's vertex set; ``replay`` drives it against an in-process
-    source or a running server under a Poisson/fixed-rate arrival
-    schedule, reporting coordinated-omission-corrected
-    p50/p99/p99.9/max; ``sweep`` steps the arrival rate until a
-    declared SLO (p99 bound, error budget) is violated and reports
-    the max sustainable throughput; ``sweep --profile`` samples each
-    step and keeps the breach step's collapsed stacks (write its
-    flamegraph with ``--flame``).
-``bench [NAMES...] [--compare A B] [--baseline-refresh --reason WHY]``
-    The versioned benchmark harness: run the smoke benchmarks under a
-    locked manifest (git sha, machine, config hash), writing
-    ``BENCH_<runid>.json`` + ``report.md``; diff two runs' headline
-    metrics against a regression
-    threshold (exiting non-zero on any regression, with exemplar trace
-    links); or re-lock ``BENCH_baseline.json`` with provenance — the
-    reason and git sha land in the baseline's manifest (see
-    :mod:`repro.obs.bench`).  With ``--profile`` the run executes
-    under the sampling profiler and the run doc carries a per-function
-    sample table; ``--compare`` on two such runs adds a function-level
-    diff that *attributes* any headline regression.
+    rewrite refusals, shard spills, cache invalidations, kernel
+    choices, profiler sessions) as JSON Lines; ``--follow`` tails it
+    with a seq cursor every ``--interval`` seconds, and ``--kind``
+    filters by exact kind, comma-separated kinds, or a ``prefix.*``
+    wildcard (``--kind 'profile.*'``; see :mod:`repro.obs.events`).
+
+Performance is measured outside the package, by the repository
+benchmark: ``python3 adjbench/run.py --workload NAME --seed N
+--seconds S`` (see ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -357,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         "diff", help="function-level diff of two profile artifacts, "
                      "most regressed first")
     pr_diff.add_argument("baseline",
-                         help="collapsed-stack file, profile JSON, or "
-                              "profiled BENCH_*.json")
+                         help="collapsed-stack file or profile JSON")
     pr_diff.add_argument("candidate", help="same formats as baseline")
     pr_diff.add_argument("--top", type=int, default=10,
                          help="rows to print (default: 10)")
@@ -372,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="only events with seq > SINCE")
     p_events.add_argument("--kind", default=None,
                           help="filter by event kind: exact "
-                               "(loadgen.slo_breach), comma-separated "
+                               "(epoch_published), comma-separated "
                                "alternatives, or a prefix wildcard "
-                               "(loadgen.*); known kinds include "
+                               "(profile.*); known kinds include "
                                "epoch_published, rewrite_refused, "
                                "shard_spill, cache_invalidation, "
-                               "bench_run, loadgen.step, "
-                               "loadgen.slo_breach, http.log")
+                               "expr.kernel, profile.start, "
+                               "profile.stop, http.log")
     p_events.add_argument("--limit", type=int, default=None,
                           help="keep only the newest LIMIT events")
     p_events.add_argument("--follow", action="store_true",
@@ -388,183 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="poll interval seconds for --follow "
                                "(default: 1.0)")
 
-    p_loadgen = sub.add_parser(
-        "loadgen",
-        help="workload capture, open-loop load generation, and "
-             "SLO-gated saturation sweeps")
-    lg = p_loadgen.add_subparsers(dest="loadgen_command", required=True)
-
-    def _lg_target(p, require_source=False):
-        p.add_argument("--source", default=None,
-                       help="adjacency TSV-triple file or kept shard "
-                            "workdir to drive in-process"
-                            + ("" if not require_source else
-                               " (required)"))
-        if not require_source:
-            p.add_argument("--url", default=None,
-                           help="base URL of a running `repro serve` "
-                                "to drive over HTTP instead")
-        p.add_argument("--pair", default=None,
-                       help="op-pair registry name for --source "
-                            "(default: the source's recorded pair, "
-                            "else plus_times)")
-        p.add_argument("--unsafe-ok", action="store_true",
-                       help="accept non-compliant op-pairs for "
-                            "--source")
-
-    def _lg_schedule(p):
-        p.add_argument("--rate", type=float, default=100.0,
-                       help="offered arrival rate, requests/second "
-                            "(default: 100)")
-        p.add_argument("--process", default="poisson",
-                       choices=["poisson", "fixed", "recorded"],
-                       help="arrival process (recorded = replay the "
-                            "workload's captured offsets)")
-        p.add_argument("--threads", type=int, default=4,
-                       help="injector threads (default: 4)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="schedule RNG seed (default: 0)")
-
-    lg_rec = lg.add_parser(
-        "record",
-        help="synthesize a replayable JSONL workload from a query-mix "
-             "spec over a source's vertex set")
-    _lg_target(lg_rec, require_source=True)
-    lg_rec.add_argument("-o", "--output", required=True,
-                        help="workload JSONL file to write")
-    lg_rec.add_argument("--mix", default=None,
-                        help="query mix as KIND=WEIGHT[,KIND=WEIGHT...] "
-                             "over neighbors, degrees, khop, "
-                             "path_lengths, top_k, stats (default: a "
-                             "read-heavy service mix)")
-    lg_rec.add_argument("--ops", type=int, default=1000,
-                        help="operations to generate (default: 1000)")
-    lg_rec.add_argument("--seed", type=int, default=0,
-                        help="generator seed — same seed, same "
-                             "workload (default: 0)")
-    lg_rec.add_argument("--max-k", type=int, default=3, dest="max_k",
-                        help="largest khop hop count (default: 3)")
-
-    lg_rep = lg.add_parser(
-        "replay",
-        help="open-loop replay of a workload file with "
-             "coordinated-omission-corrected latency")
-    lg_rep.add_argument("workload", help="workload JSONL file "
-                                         "(loadgen record output)")
-    _lg_target(lg_rep)
-    _lg_schedule(lg_rep)
-    lg_rep.add_argument("--duration", type=float, default=None,
-                        help="seconds of load (rate × duration "
-                             "requests, cycling the workload); "
-                             "default: one pass over the workload")
-    lg_rep.add_argument("--warmup", type=int, default=0,
-                        help="leading ops issued closed-loop and "
-                             "unmeasured first (absorbs one-time "
-                             "planning/cache-fill costs; default: 0)")
-    lg_rep.add_argument("--json", action="store_true",
-                        help="print the full report as JSON")
-
-    lg_sweep = lg.add_parser(
-        "sweep",
-        help="step the arrival rate until the SLO is violated; report "
-             "max sustainable throughput")
-    lg_sweep.add_argument("--workload", default=None,
-                          help="workload JSONL file to replay (default: "
-                               "synthesize --mix over --source)")
-    _lg_target(lg_sweep)
-    _lg_schedule(lg_sweep)
-    lg_sweep.add_argument("--mix", default=None,
-                          help="query mix for the synthesized workload "
-                               "when no --workload is given")
-    lg_sweep.add_argument("--ops", type=int, default=500,
-                          help="synthesized workload size (default: 500)")
-    lg_sweep.add_argument("--rates", default=None,
-                          help="explicit comma-separated rates to step "
-                               "(e.g. 50,100,200,400); default: "
-                               "geometric from --rate by --growth")
-    lg_sweep.add_argument("--growth", type=float, default=2.0,
-                          help="rate multiplier per step (default: 2)")
-    lg_sweep.add_argument("--steps", type=int, default=5,
-                          help="max steps when growing geometrically "
-                               "(default: 5)")
-    lg_sweep.add_argument("--duration", type=float, default=2.0,
-                          help="seconds per rate step (default: 2)")
-    lg_sweep.add_argument("--slo-p99-ms", type=float, default=50.0,
-                          dest="slo_p99_ms",
-                          help="SLO: corrected p99 bound in ms "
-                               "(default: 50)")
-    lg_sweep.add_argument("--slo-error-rate", type=float, default=0.01,
-                          dest="slo_error_rate",
-                          help="SLO: error-rate budget (default: 0.01)")
-    lg_sweep.add_argument("--warmup", type=int, default=50,
-                          help="unmeasured closed-loop ops before the "
-                               "first step, so one-time planning and "
-                               "cache-fill costs don't read as "
-                               "saturation (default: 50)")
-    lg_sweep.add_argument("--out", default=None,
-                          help="also write the full sweep report JSON "
-                               "here")
-    lg_sweep.add_argument("--json", action="store_true",
-                          help="print the full report as JSON")
-    lg_sweep.add_argument("--profile", action="store_true",
-                          help="sample each step with the profiler; "
-                               "the breach step keeps its collapsed "
-                               "stacks in the report")
-    lg_sweep.add_argument("--flame", default=None, metavar="FILE",
-                          help="with --profile: write the breach "
-                               "step's HTML flamegraph to FILE")
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the versioned benchmark harness, or --compare two "
-             "runs with a regression gate")
-    p_bench.add_argument("names", nargs="*",
-                         help="benchmarks to run (default: the smoke "
-                              "set; see --list)")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="small problem sizes (CI smoke mode)")
-    p_bench.add_argument("--outdir", default=None,
-                         help="write BENCH_<runid>.json and report.md "
-                              "here")
-    p_bench.add_argument("--bench-dir", default=None,
-                         help="directory holding bench_*.py scripts "
-                              "(default: the repo's benchmarks/)")
-    p_bench.add_argument("--list", action="store_true", dest="list_only",
-                         help="list runnable benchmarks and exit")
-    p_bench.add_argument("--profile", action="store_true",
-                         help="run under the sampling profiler; the "
-                              "run doc gains a per-function sample "
-                              "table (and profile.collapsed + "
-                              "profile_flame.html with --outdir), and "
-                              "--compare on two profiled runs prints "
-                              "a function-level diff")
-    p_bench.add_argument("--compare", nargs=2, default=None,
-                         metavar=("BASELINE", "CANDIDATE"),
-                         help="diff two runs (BENCH_*.json files or "
-                              "directories holding them) instead of "
-                              "running; exits 1 on any regression")
-    p_bench.add_argument("--threshold", type=float, default=None,
-                         help="relative regression threshold for "
-                              "--compare (default: 0.20)")
-    p_bench.add_argument("--baseline-refresh", action="store_true",
-                         dest="baseline_refresh",
-                         help="re-lock the baseline file to a fresh run "
-                              "(or --from-run), recording --reason, the "
-                              "git sha, and the superseded run id in "
-                              "the baseline's manifest")
-    p_bench.add_argument("--reason", default=None,
-                         help="why the baseline moved (required by "
-                              "--baseline-refresh)")
-    p_bench.add_argument("--baseline-path", default="BENCH_baseline.json",
-                         dest="baseline_path",
-                         help="baseline file for --baseline-refresh "
-                              "(default: BENCH_baseline.json)")
-    p_bench.add_argument("--from-run", default=None, dest="from_run",
-                         metavar="RUN",
-                         help="with --baseline-refresh: promote this "
-                              "existing BENCH_*.json (or a directory "
-                              "holding one) instead of running the "
-                              "benchmarks again")
     return parser
 
 
@@ -1074,130 +874,6 @@ def _cmd_events(args) -> int:
         return 0
 
 
-def _load_loadgen_target(args):
-    """Resolve ``--source``/``--url`` into a loadgen target.
-
-    Returns ``(target, service_or_None)`` — the service rides along so
-    synthesized workloads can draw from its vertex set.
-    """
-    from repro.obs.loadgen import HTTPTarget, ServiceTarget
-    url = getattr(args, "url", None)
-    if args.source is not None and url is not None:
-        raise ValueError("--source and --url are mutually exclusive")
-    if url is not None:
-        return HTTPTarget(url), None
-    if args.source is None:
-        raise ValueError("one of --source or --url is required")
-    service = load_service(args.source, args.pair,
-                           unsafe_ok=args.unsafe_ok)
-    return ServiceTarget(service), service
-
-
-def _cmd_loadgen(args) -> int:
-    import json
-    from repro.obs.loadgen import (LoadgenError, SLO, Workload,
-                                   render_replay, render_sweep, replay,
-                                   sweep, synthesize)
-    from repro.values.semiring import SemiringError
-    try:
-        if args.loadgen_command == "record":
-            service = load_service(args.source, args.pair,
-                                   unsafe_ok=args.unsafe_ok)
-            vertices = list(service.snapshot().vertices)
-            workload = synthesize(vertices, mix=args.mix,
-                                  n_ops=args.ops, seed=args.seed,
-                                  max_k=args.max_k)
-            path = workload.save(args.output)
-            mix = ", ".join(f"{k}={n}"
-                            for k, n in sorted(workload.kinds().items()))
-            print(f"wrote {path}: {len(workload)} ops over "
-                  f"{len(vertices)} vertices (seed {args.seed})")
-            print(f"  mix  {mix}")
-            return 0
-        if args.loadgen_command == "replay":
-            workload = Workload.load(args.workload)
-            target, _service = _load_loadgen_target(args)
-            report = replay(workload, target, rate=args.rate,
-                            process=args.process, threads=args.threads,
-                            seed=args.seed, duration=args.duration,
-                            warmup=args.warmup)
-            if args.json:
-                print(json.dumps(report, indent=2, sort_keys=True,
-                                 default=str))
-            else:
-                print(render_replay(report))
-            return 0
-        if args.loadgen_command == "sweep":
-            target, service = _load_loadgen_target(args)
-            if args.workload is not None:
-                workload = Workload.load(args.workload)
-            elif service is not None:
-                vertices = list(service.snapshot().vertices)
-                workload = synthesize(vertices, mix=args.mix,
-                                      n_ops=args.ops, seed=args.seed)
-            else:
-                print("sweeping --url requires --workload (the vertex "
-                      "set of a remote server is not enumerable)",
-                      file=sys.stderr)
-                return 2
-            rates = None
-            if args.rates is not None:
-                rates = [float(r) for r in args.rates.split(",")
-                         if r.strip()]
-            doc = sweep(workload, target, rates=rates,
-                        start_rate=args.rate, growth=args.growth,
-                        max_steps=args.steps, duration=args.duration,
-                        slo=SLO(p99_ms=args.slo_p99_ms,
-                                max_error_rate=args.slo_error_rate),
-                        process=args.process, threads=args.threads,
-                        seed=args.seed, warmup=args.warmup,
-                        profile=args.profile)
-            breach_profile = (doc.get("breach") or {}).get("profile")
-            if args.flame is not None:
-                if breach_profile is None:
-                    print("--flame: no breach profile captured (sweep "
-                          "never saturated, or --profile not given)",
-                          file=sys.stderr)
-                else:
-                    from repro.obs.profile import (parse_collapsed,
-                                                   render_flamegraph_html)
-                    stacks = parse_collapsed(breach_profile["collapsed"])
-                    Path(args.flame).write_text(
-                        render_flamegraph_html(
-                            stacks,
-                            title=f"sweep breach @ "
-                                  f"{doc['breach']['rate']:g} req/s",
-                            meta={"hz": breach_profile["hz"],
-                                  "overhead":
-                                  f"{breach_profile['overhead_ratio']:.2%}"}),
-                        encoding="utf-8")
-            if args.out is not None:
-                Path(args.out).write_text(
-                    json.dumps(doc, indent=2, sort_keys=True,
-                               default=str) + "\n", encoding="utf-8")
-            if args.json:
-                print(json.dumps(doc, indent=2, sort_keys=True,
-                                 default=str))
-            else:
-                print(render_sweep(doc))
-                if args.out is not None:
-                    print(f"  full report: {args.out}")
-                if args.flame is not None and breach_profile is not None:
-                    print(f"  breach flamegraph: {args.flame}")
-            return 0
-        raise AssertionError("unreachable")  # pragma: no cover
-    except FileNotFoundError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    except LoadgenError as exc:
-        print(f"loadgen: {exc}", file=sys.stderr)
-        return 2
-    except (SemiringError, ValueError) as exc:
-        msg = str(exc).replace("unsafe_ok=True", "--unsafe-ok")
-        print(f"refused: {msg}", file=sys.stderr)
-        return 1
-
-
 def _print_profile_summary(doc, top: int = 15) -> None:
     """The human-readable core of a profile dump: identity line,
     honesty line, hottest functions, per-span CPU."""
@@ -1377,96 +1053,6 @@ def _cmd_profile(args) -> int:
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _cmd_bench(args) -> int:
-    from repro.obs.bench import (
-        BenchError,
-        DEFAULT_THRESHOLD,
-        compare,
-        describe_profile_diff,
-        describe_with_exemplars,
-        discover_benchmarks,
-        load_run,
-        refresh_baseline,
-        render_markdown,
-        run_benchmarks,
-    )
-    if args.list_only:
-        for name in discover_benchmarks(args.bench_dir):
-            print(name)
-        return 0
-    if args.baseline_refresh:
-        if args.reason is None:
-            print("--baseline-refresh requires --reason (the manifest "
-                  "records why the bar moved)", file=sys.stderr)
-            return 2
-        try:
-            if args.from_run is not None:
-                run = load_run(args.from_run)
-            else:
-                run = run_benchmarks(args.names or None, quick=args.quick,
-                                     outdir=args.outdir,
-                                     bench_dir=args.bench_dir,
-                                     progress=True, profile=args.profile)
-            doc = refresh_baseline(run, args.baseline_path,
-                                   reason=args.reason)
-        except BenchError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        refresh = doc["manifest"]["baseline_refresh"]
-        print(f"baseline {args.baseline_path} re-locked to run "
-              f"{doc.get('run_id')}")
-        print(f"  reason           {refresh['reason']}")
-        print(f"  git sha          {refresh['git_sha'] or 'unknown'}")
-        print(f"  superseded run   "
-              f"{refresh['previous_run_id'] or '(none)'}")
-        return 0
-    if args.reason is not None or args.from_run is not None:
-        print("--reason/--from-run only apply with --baseline-refresh",
-              file=sys.stderr)
-        return 2
-    if args.compare is not None:
-        threshold = args.threshold if args.threshold is not None \
-            else DEFAULT_THRESHOLD
-        try:
-            baseline = load_run(args.compare[0])
-            candidate = load_run(args.compare[1])
-            result = compare(baseline, candidate, threshold=threshold)
-        except BenchError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        print(describe_with_exemplars(result, candidate))
-        profile_diff = describe_profile_diff(baseline, candidate)
-        if profile_diff is not None:
-            print()
-            print(profile_diff)
-        return 0 if result.ok else 1
-    if args.threshold is not None:
-        print("--threshold only applies with --compare", file=sys.stderr)
-        return 2
-    try:
-        doc = run_benchmarks(args.names or None, quick=args.quick,
-                             outdir=args.outdir,
-                             bench_dir=args.bench_dir, progress=True,
-                             profile=args.profile)
-    except BenchError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    print(render_markdown(doc))
-    if "profile" in doc:
-        p = doc["profile"]
-        print(f"profiled: {p['samples']} samples @ {p['hz']:g} Hz, "
-              f"overhead {p['overhead_ratio']:.2%}")
-        for row in p.get("top_functions", [])[:5]:
-            print(f"  {row['self_pct']:>6.2f}%  {row['function']}")
-    if "artifacts" in doc:
-        print(f"wrote {doc['artifacts']['json']} and "
-              f"{doc['artifacts']['markdown']}")
-        if "flamegraph" in doc["artifacts"]:
-            print(f"wrote {doc['artifacts']['collapsed']} and "
-                  f"{doc['artifacts']['flamegraph']}")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -1492,12 +1078,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_trace(args)
     if args.command == "events":
         return _cmd_events(args)
-    if args.command == "loadgen":
-        return _cmd_loadgen(args)
     if args.command == "profile":
         return _cmd_profile(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     raise AssertionError("unreachable")  # pragma: no cover
 
 

@@ -7,12 +7,15 @@ every node
   exact count, operators propagate standard sparse estimates (the
   uniform-distribution SpGEMM bound for products, union bounds for
   element-wise ops, exact products for Kronecker);
-* which storage backend the result will live on (``numeric`` when the
-  operand chain stays on plain numbers and every operation has a ufunc
-  form, ``dict`` otherwise) and which multiply kernel applies — decided
-  by :func:`repro.arrays.matmul.route_kernel`, the same pure function
-  eager :func:`~repro.arrays.matmul.multiply` routes through;
-* how many bytes the materialized result (plus any kernel expansion
+* whether the result can drive the numeric kernels (``backend``:
+  ``numeric`` when the operand chain stays on plain numbers and every
+  operation has a ufunc form, ``dict`` otherwise) and which multiply
+  kernel applies — decided by :func:`repro.arrays.matmul.route_kernel`,
+  the same pure function eager :func:`~repro.arrays.matmul.multiply`
+  routes through;
+* which backend the result is stored on (``native``: a generic product
+  of numeric-capable operands still yields a dict-backed array) and so
+  how many bytes the materialized result (plus any kernel expansion
   buffer) will take.
 
 The estimates drive two real decisions: the executor passes the chosen
@@ -31,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.arrays.associative import transpose_is_numeric
 from repro.arrays.backend import usable_numeric_zero
 from repro.arrays.matmul import holds_numeric, route_kernel
 from repro.expr.ast import (
@@ -66,7 +70,9 @@ class CostEstimate:
     rows: int
     cols: int
     nnz: float
-    backend: str                 # "numeric" | "dict"
+    #: ``"numeric"`` when the result's values can drive the numeric
+    #: kernels (promotable), else ``"dict"`` — the routing input.
+    backend: str
     kernel: str = "-"            # multiply kernel, "-" for non-products
     flops: float = 0.0           # multiplicative terms for products
     exact: bool = False          # True only for leaves
@@ -75,10 +81,15 @@ class CostEstimate:
     native: bool = False
 
     @property
+    def stored(self) -> str:
+        """The backend kind the result is stored on."""
+        return "numeric" if self.native else "dict"
+
+    @property
     def bytes(self) -> float:
-        """Estimated bytes of the materialized result."""
-        per = NUMERIC_ENTRY_BYTES if self.backend == "numeric" \
-            else DICT_ENTRY_BYTES
+        """Estimated bytes of the materialized result, on the backend it
+        is stored on."""
+        per = NUMERIC_ENTRY_BYTES if self.native else DICT_ENTRY_BYTES
         return self.nnz * per
 
     @property
@@ -110,11 +121,18 @@ def _leaf_numeric(leaf: Leaf) -> bool:
 
 def _native(node: Node, est: CostEstimate, *,
             transposed: bool = False) -> bool:
-    """Whether a product operand already holds the numeric backend:
-    read off the array for leaves, predicted for operator results."""
+    """Whether ``node``'s result (or, with ``transposed=True``, its
+    transpose) is stored on the numeric backend: read off the array for
+    leaves, predicted for operator results, whose promotion is untried
+    and predicted to fail exactly when ``est.backend`` is ``dict``."""
     if isinstance(node, Leaf):
         return holds_numeric(node.array, transposed=transposed)
-    return est.native
+    if not transposed:
+        return est.native
+    return transpose_is_numeric(
+        native=est.native,
+        promotion=None if est.backend == "numeric" else False,
+        nnz=est.nnz)
 
 
 def _estimate(node: Node, memo: Dict[int, CostEstimate]) -> CostEstimate:
@@ -176,8 +194,9 @@ def _estimate(node: Node, memo: Dict[int, CostEstimate]) -> CostEstimate:
         nnz = min(ce.nnz, float(rows if node.axis == "rows" else cols))
         numeric = (ce.backend == "numeric" and node.op.ufunc is not None
                    and usable_numeric_zero(node.op.identity))
+        # The fold's result is built from a dict: never stored numeric.
         return CostEstimate(rows, cols, nnz,
-                            "numeric" if numeric else "dict")
+                            "numeric" if numeric else "dict", native=False)
 
     if isinstance(node, Select):
         (ce,) = child_ests

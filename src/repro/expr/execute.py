@@ -111,14 +111,15 @@ class Plan:
         Names each applied rewrite together with the verified algebraic
         properties that licensed it, lists the rewrites the gate
         refused, and renders the operator tree with per-node cost
-        annotations (estimated nnz, storage backend, kernel, bytes).
+        annotations (estimated nnz, the backend the result is stored
+        on, kernel, bytes).
         """
         lines: List[str] = []
         root_est = self.estimates.get(id(self.root))
         head = f"plan: {self.root.label()}"
         if root_est is not None:
             head += (f"  →  ~{_fmt_count(root_est.nnz)} entries "
-                     f"({root_est.backend})")
+                     f"({root_est.stored})")
         lines.append(head)
         lines.append(f"nodes: {self.node_count}   peak working set: "
                      f"~{_fmt_bytes(self.peak_bytes)}"
@@ -183,7 +184,7 @@ class Plan:
             elif est is not None:
                 parts.append(f"{est.rows}×{est.cols}")
                 parts.append(f"est_nnz≈{_fmt_count(est.nnz)}")
-                parts.append(est.backend)
+                parts.append(est.stored)
                 if est.kernel != "-":
                     parts.append(f"kernel={est.kernel}")
                 parts.append(f"~{_fmt_bytes(est.working_bytes)}")

@@ -13,7 +13,7 @@ greps for when a dashboard looks wrong:
   disk;
 * ``cache_invalidation`` — a publication reclaimed superseded query
   cache entries;
-* ``bench_run`` — the versioned harness completed a run;
+* ``expr.kernel`` — an expression plan ran a product on a kernel;
 * ``profile.start`` / ``profile.stop`` — a sampling-profiler session
   opened or closed (:mod:`repro.obs.profile`), bracketing the window
   whose samples the resulting profile covers (the stop event carries
@@ -54,9 +54,9 @@ def _kind_predicate(spec: str):
 
     A spec is a comma-separated list of alternatives; each alternative
     matches exactly, or — with a trailing ``*`` — as a prefix.  So
-    ``"loadgen.*"`` follows every load-generator event and
-    ``"loadgen.slo_breach,bench_run"`` watches exactly two kinds.
-    Dotted event families (``loadgen.step``, ``http.log``) make the
+    ``"profile.*"`` follows every profiler event and
+    ``"profile.stop,epoch_published"`` watches exactly two kinds.
+    Dotted event families (``profile.start``, ``http.log``) make the
     prefix form the natural "one subsystem, all kinds" filter.
     """
     exact = set()
@@ -155,7 +155,7 @@ class EventLog:
 
         ``since`` keeps only events with ``seq > since`` (the follow
         cursor); ``kind`` filters by event kind — exact, a trailing-``*``
-        prefix (``loadgen.*``), or a comma-separated list of either;
+        prefix (``profile.*``), or a comma-separated list of either;
         ``limit`` keeps the *newest* N after filtering.
         """
         with self._lock:

@@ -4,7 +4,7 @@ The measurement substrate for every subsystem — dependency-free (stdlib
 only), cheap enough for hot paths, and renderable in two shapes:
 
 * :meth:`MetricsRegistry.snapshot` — a plain nested dict for JSON
-  surfaces (the service's ``/stats`` query, bench-run artifacts);
+  surfaces (the service's ``/stats`` query);
 * :meth:`MetricsRegistry.render_prometheus` — the Prometheus text
   exposition format for ``GET /metrics``.
 
@@ -83,7 +83,8 @@ def log_buckets(lo: float, hi: float,
     whole range, instead of the unbounded *absolute* error a narrow
     fixed-bucket layout produces once observations saturate its first
     or last bucket.  Bounds are rounded to two significant digits so
-    rendered ``le`` labels stay readable; ``hi`` is always included.
+    rendered ``le`` labels stay readable; they strictly increase, and
+    ``hi`` is always the last one.
     """
     if lo <= 0 or hi <= lo:
         raise ValueError(
@@ -95,6 +96,8 @@ def log_buckets(lo: float, hi: float,
     value = lo
     while value < hi * (1.0 - 1e-12):
         rounded = float(f"{value:.1e}")
+        if rounded >= hi:
+            break                    # rounds onto (or past) ``hi``
         if not bounds or rounded > bounds[-1]:
             bounds.append(rounded)
         value *= step
@@ -469,7 +472,7 @@ class MetricsRegistry:
         return render_prometheus(self)
 
     def reset(self) -> None:
-        """Drop every family (tests and bench-run isolation)."""
+        """Drop every family (test isolation)."""
         with self._lock:
             self._families.clear()
 

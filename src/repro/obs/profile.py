@@ -1,9 +1,9 @@
 """Continuous sampling profiler with per-span CPU attribution.
 
-The attribution half of the observability stack: the bench gate and the
-loadgen sweep can *detect* a slowdown, this module says **where the
-time and memory went** — stdlib only, always-on-capable, honest about
-its own overhead.
+The attribution half of the observability stack: the repository
+benchmark (``adjbench/``) can *detect* a slowdown, this module says
+**where the time and memory went** — stdlib only, always-on-capable,
+honest about its own overhead.
 
 * **Sampling** — every tick walks :func:`sys._current_frames` at a
   configurable rate (:data:`DEFAULT_HZ`), aggregating each thread's
@@ -35,12 +35,13 @@ its own overhead.
   wall time with no extra plumbing.
 * **Memory accounting** — with ``memory=True`` the session runs
   :mod:`tracemalloc` and :func:`heap_delta` snapshots heap growth
-  around labelled blocks (epoch publications, bench runs), recording
+  around labelled blocks (epoch publications), recording
   the per-site top growers.  Off by default: tracemalloc taxes every
   allocation, and the sampler alone is the always-on mode.
 * **Honesty** — every dump carries ``overhead_ratio``: the sampler's
   self-measured frame-walk time divided by the session's wall time.
-  CI gates this under 10% on the bench workload.
+  CI gates this under 10% on ``repro profile dump --source``'s local
+  k-hop workload.
 
 One session per process (the sampler is process-wide);
 :func:`start_profile` / :func:`stop_profile` manage it, finished
@@ -395,10 +396,9 @@ def render_profile_diff(rows: Sequence[Dict[str, Any]]) -> str:
 def load_profile_functions(path: Union[str, "Any"]) -> Dict[str, Dict[str, Any]]:
     """Function-total table from a profile artifact on disk.
 
-    Accepts a collapsed-stack text file (``repro profile dump
-    --collapsed`` output), a profile JSON dump (``"functions"`` or
-    ``"stacks"`` key), or a ``BENCH_*.json`` run carrying a
-    ``"profile"`` section — whatever the operator has at hand.
+    Accepts a collapsed-stack text file (``repro profile dump -o``
+    output) or a profile JSON dump (``"functions"`` or ``"stacks"``
+    key) — whatever the operator has at hand.
     """
     from pathlib import Path
     p = Path(path)
@@ -412,15 +412,13 @@ def load_profile_functions(path: Union[str, "Any"]) -> Dict[str, Dict[str, Any]]
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ProfileError(f"{p}: malformed JSON: {exc}") from None
-        if isinstance(doc.get("profile"), dict):   # a BENCH_*.json run
-            doc = doc["profile"]
         if isinstance(doc.get("functions"), dict):
             return doc["functions"]
         if isinstance(doc.get("stacks"), dict):
             return function_totals(parse_collapsed(
                 "\n".join(f"{k} {v}" for k, v in doc["stacks"].items())))
         raise ProfileError(
-            f"{p}: no 'functions', 'stacks', or 'profile' section — "
+            f"{p}: no 'functions' or 'stacks' section — "
             "not a profile dump")
     return function_totals(parse_collapsed(text))
 
@@ -988,7 +986,7 @@ def heap_delta(label: str) -> _HeapDelta:
     """Measure heap growth across a block, when accounting is on.
 
     The instrumentation call for labelled allocation sites — epoch
-    publications, bench runs.  Without an active ``memory=True``
+    publications.  Without an active ``memory=True``
     session the cost is one module-global read; with one, tracemalloc
     snapshots bracket the block and the top growth sites land in the
     session's ``memory["deltas"]``.

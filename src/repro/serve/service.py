@@ -44,7 +44,6 @@ from repro.expr import khop_frontier, vecmat
 from repro.graphs.algorithms import shortest_path_lengths
 from repro.graphs.digraph import GraphError
 from repro.obs.events import emit_event
-from repro.obs.loadgen import WorkloadRecorder
 from repro.obs.metrics import LATENCY_BUCKETS_WIDE, MetricsRegistry
 from repro.obs.profile import heap_delta
 from repro.obs.trace import Tracer, span
@@ -155,10 +154,6 @@ class AdjacencyService:
         #: so the cross-link from ``/stats`` to ``/trace/<id>`` exists
         #: without scraping the exposition text.
         self._last_publication: Optional[Dict[str, Any]] = None
-        #: Installed workload recorder (:meth:`start_capture`), or
-        #: ``None``.  One atomic attribute read per query keeps the
-        #: off-path cost of capture at a single ``is None`` check.
-        self._capture: Optional[WorkloadRecorder] = None
         # Per-service memo of alternative-pair certifications for khop.
         self._pair_certs: Dict[str, Certification] = {}
         if self._certification is not None:
@@ -402,52 +397,6 @@ class AdjacencyService:
             return n
 
     # ------------------------------------------------------------------
-    # Workload capture (repro.obs.loadgen)
-    # ------------------------------------------------------------------
-    def start_capture(
-        self,
-        recorder: Optional[WorkloadRecorder] = None,
-        *,
-        sample_rate: float = 1.0,
-        seed: int = 0,
-        capacity: int = 100_000,
-    ) -> WorkloadRecorder:
-        """Start recording queries into a replayable workload log.
-
-        Every subsequent :meth:`query` (all kinds, HTTP and library
-        alike) is offered to the recorder, which samples at
-        ``sample_rate`` and stamps kind, params, epoch, and arrival
-        offset — the schema-versioned JSONL that
-        :func:`repro.obs.loadgen.replay` drives.  Pass a prepared
-        ``recorder`` to share one across services; otherwise one is
-        created from the keyword options.  Returns the active recorder
-        (fetch its :meth:`~WorkloadRecorder.workload` any time —
-        capture keeps running until :meth:`stop_capture`).
-        """
-        if recorder is None:
-            recorder = WorkloadRecorder(sample_rate=sample_rate,
-                                        seed=seed, capacity=capacity)
-        self._capture = recorder
-        emit_event("loadgen.capture_started",
-                   sample_rate=recorder.sample_rate,
-                   capacity=recorder.capacity)
-        return recorder
-
-    def stop_capture(self) -> Optional[WorkloadRecorder]:
-        """Stop recording; returns the recorder (or ``None`` if capture
-        was never started), whose workload stays readable."""
-        recorder, self._capture = self._capture, None
-        if recorder is not None:
-            emit_event("loadgen.capture_stopped",
-                       **recorder.stats())
-        return recorder
-
-    @property
-    def capturing(self) -> bool:
-        """Whether a workload recorder is currently installed."""
-        return self._capture is not None
-
-    # ------------------------------------------------------------------
     # Read path: the versioned query API
     # ------------------------------------------------------------------
     def query(self, kind: str, **params: Any) -> Dict[str, Any]:
@@ -465,9 +414,6 @@ class AdjacencyService:
                              "Queries answered, by kind",
                              kind=kind).inc()
         snapshot = self._snapshot  # one atomic read per query
-        capture = self._capture
-        if capture is not None:
-            capture.record(kind, params, snapshot.epoch)
         # Span outermost: the timer's observe() must fire while the
         # span is still current, or the histogram gets no exemplar.
         # The latency histogram uses the wide log-bucketed preset: the

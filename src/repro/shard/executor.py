@@ -3,14 +3,13 @@
 Each shard is independent work: load its incidence pair, compute
 ``Aₛ = (Eout|Kₛ)ᵀ ⊕.⊗ (Ein|Kₛ)`` with
 :func:`repro.core.construction.adjacency_array`, and spill the result to
-disk as a pickle.  Workers mirror :mod:`repro.arrays.parallel`:
+disk as a pickle.  Three executors:
 
 * ``executor="serial"`` — in-process loop (the plumbing without
   concurrency);
 * ``executor="thread"`` — a thread pool (NumPy kernels release the GIL);
 * ``executor="process"`` — a process pool; op-pairs travel *by registry
-  name* via :mod:`repro.values.shipping`, exactly as the row-partitioned
-  fan-out ships them.
+  name* via :mod:`repro.values.shipping`.
 
 Results are always spilled (never returned through the pool) so peak
 memory stays one shard's working set per worker — the point of the

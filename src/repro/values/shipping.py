@@ -2,11 +2,11 @@
 
 Op-pairs close over arbitrary Python callables (often lambdas), which do
 not pickle — so any executor that crosses a process boundary sends the
-*registry name* instead and re-resolves it on the other side.  Two users
-today: :mod:`repro.arrays.parallel` (row-partitioned fan-out) and
-:mod:`repro.shard` (out-of-core sharded construction); both must agree on
-the re-import side effects that populate the registry in a freshly
-spawned interpreter, which is why the logic lives here once.
+*registry name* instead and re-resolves it on the other side.  The user
+today is :mod:`repro.shard` (out-of-core sharded construction), whose
+process workers need the re-import side effects that populate the
+registry in a freshly spawned interpreter; the logic lives here, next
+to the registry it reads.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Property tests for the structural extensions (kron, streaming,
-partitioning, reductions).
+reductions).
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.arrays.kron import kron, kronecker_graph, pair_key
-from repro.arrays.parallel import parallel_multiply, partition_rows, stack_rows
 from repro.arrays.matmul import multiply
 from repro.arrays.reductions import reduce_rows
 from repro.core.construction import adjacency_array
@@ -19,11 +18,7 @@ from repro.graphs.incidence import incidence_arrays
 from repro.values.operations import AND, PLUS
 from repro.values.semiring import get_op_pair
 
-from tests.property.strategies import (
-    conformable_numeric_arrays,
-    graph_with_values,
-    graphs,
-)
+from tests.property.strategies import graph_with_values, graphs
 
 
 @st.composite
@@ -99,24 +94,6 @@ class TestStreamingLaws:
         for k in keys[:removals]:
             builder.remove_edge(k)
         assert builder.adjacency() == builder.batch_adjacency()
-
-
-class TestPartitionLaws:
-    @settings(max_examples=40, **COMMON)
-    @given(a=arrays(), parts=st.integers(1, 7))
-    def test_partition_stack_roundtrip(self, a, parts):
-        assert stack_rows(partition_rows(a, parts)) == a
-
-    @settings(max_examples=20, **COMMON)
-    @given(ab=conformable_numeric_arrays(max_dim=6),
-           parts=st.integers(1, 5))
-    def test_parallel_multiply_equals_serial(self, ab, parts):
-        a, b = ab
-        pair = get_op_pair("plus_times")
-        want = multiply(a, b, pair, kernel="generic")
-        got = parallel_multiply(a, b, pair, n_workers=parts,
-                                executor="serial", kernel="generic")
-        assert got == want
 
 
 class TestReductionLaws:

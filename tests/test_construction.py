@@ -131,7 +131,8 @@ class TestTransposeFreeRoute:
     """``adjacency_array`` hands ``Eout``'s own COO arrays to sortmerge
     as ``Eoutᵀ``'s CSC; every other route keeps multiplying
     ``Eout.transpose()``.  The kernel decision is the transposed
-    product's, and an expression plan names the kernel that runs."""
+    product's, and an expression plan names the kernel that runs and
+    the backend its result is stored on."""
 
     @staticmethod
     def _weighted(pair, n_edges, seed=3):
@@ -194,17 +195,26 @@ class TestTransposeFreeRoute:
     @staticmethod
     def _planned_run_and_eager(expr, a, b, pair, *, transposed):
         """The plan's kernel for the product, the kernel the
-        ``expr.kernel`` event says ran, and eager ``_pick_kernel``."""
+        ``expr.kernel`` event says ran, and eager ``_pick_kernel``.
+
+        Checks on the way that the transcript's root line names, and its
+        byte estimate sizes, the backend the result is stored on."""
         from repro.arrays.matmul import _pick_kernel
         from repro.expr import plan
         from repro.expr.ast import topological_order
+        from repro.expr.cost import DICT_ENTRY_BYTES, NUMERIC_ENTRY_BYTES
         from repro.obs.events import get_event_log
         the_plan = plan(expr)
         (product,) = [n for n in topological_order(the_plan.root)
                       if n.kind in ("matmul", "incidence_to_adjacency")]
         eager = _pick_kernel(a, b, pair, "sparse", transposed=transposed)
-        the_plan.execute()
+        stored = the_plan.execute().backend
         (event,) = get_event_log().events(kind="expr.kernel", limit=1)
+        head = the_plan.explain().splitlines()[0]
+        assert head.endswith(f"entries ({stored})"), head
+        root = the_plan.estimates[id(the_plan.root)]
+        per = NUMERIC_ENTRY_BYTES if stored == "numeric" else DICT_ENTRY_BYTES
+        assert root.bytes == root.nnz * per
         return the_plan.estimates[id(product)].kernel, event["kernel"], eager
 
     @pytest.mark.parametrize("e_form", ["dict", "promoted", "numeric"])

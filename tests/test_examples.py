@@ -27,7 +27,6 @@ def _run(script: str, *args: str) -> subprocess.CompletedProcess:
     ("adjacency_service.py", "adjacency service demo complete"),
     ("lazy_pipeline.py", "lazy pipeline demo complete"),
     ("observability.py", "observability demo complete"),
-    ("loadgen_sweep.py", "loadgen sweep demo complete"),
     ("profiling.py", "profiling demo complete"),
 ])
 def test_example_runs_and_reports(script, expect):

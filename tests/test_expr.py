@@ -307,6 +307,30 @@ class TestCostAndExecution:
         assert "shard executor" in p.explain()
         assert p.execute() == adjacency_array(eout, ein, PAIR)
 
+    @pytest.mark.parametrize("name,edges", [("plus_times", 40),
+                                            ("gcd_lcm", 400)])
+    def test_memory_budget_sizes_a_generic_product_on_dict_storage(
+            self, name, edges):
+        # Numeric-capable operands, but the product runs the generic
+        # kernel (tiny operands; a pair without ufuncs), so its result
+        # is dict-backed and the budget sizes it at DICT_ENTRY_BYTES.
+        from repro.expr.cost import DICT_ENTRY_BYTES, NUMERIC_ENTRY_BYTES
+        pair = get_op_pair(name)
+        graph = rmat_multigraph(7, edges, seed=11)
+        weights = {k: 1 + (i % 7) for i, k in enumerate(graph.edge_keys)}
+        eout, ein = incidence_arrays(graph, zero=pair.zero,
+                                     out_values=weights, in_values=weights)
+        expr = lazy(eout).T.matmul(lazy(ein), pair)
+        free = plan(expr)
+        est = free.estimates[id(free.root)]
+        assert (est.backend, est.kernel) == ("numeric", "generic")
+        assert est.working_bytes == est.nnz * DICT_ENTRY_BYTES
+        assert not plan(expr, memory_budget=int(est.working_bytes)).shard_nodes
+        between = int(est.nnz * (NUMERIC_ENTRY_BYTES + DICT_ENTRY_BYTES) / 2)
+        p = plan(expr, memory_budget=between)
+        assert p.shard_nodes
+        assert p.execute() == adjacency_array(eout, ein, pair)
+
     def test_memory_budget_respected_when_large_enough(self):
         eout, ein = _music_like()
         p = plan(lazy(eout).T.matmul(lazy(ein), PAIR),
@@ -333,6 +357,90 @@ class TestCostAndExecution:
         eout, ein = _music_like()
         p = plan(lazy(eout).T.matmul(lazy(ein), PAIR))
         assert evaluate(p) == adjacency_array(eout, ein, PAIR)
+
+
+def _min_plus_incidence(n_edges: int, form: str):
+    """A weighted min.+ incidence pair stored as ``form``: ``dict``,
+    ``promoted`` (dict storage with a cached columnar promotion) or
+    ``numeric``."""
+    from repro.graphs.generators import random_incidence_values
+    pair = get_op_pair("min_plus")
+    graph = rmat_multigraph(6, n_edges, seed=3)
+    out_w, in_w = random_incidence_values(graph, pair, seed=4)
+    e, f = incidence_arrays(graph, zero=pair.zero, out_values=out_w,
+                            in_values=in_w)
+    if form == "promoted":
+        e.numeric_backend()
+        f.numeric_backend()
+    elif form == "numeric":
+        e, f = e.with_backend("numeric"), f.with_backend("numeric")
+    return e, f, pair
+
+
+def _same_keys(a: AssociativeArray) -> AssociativeArray:
+    """A second array over ``a``'s keys, stored like ``a``."""
+    return a.transpose().transpose()
+
+
+#: Expression shapes covering every operator node kind, each built from
+#: an incidence pair (E, F) and its op-pair; ``optimize_plan`` is off for
+#: "matmul" so the unfused ``Eᵀ`` then product stays in the plan (the
+#: fused product alone is covered by ``tests/test_construction.py``'s
+#: ``TestTransposeFreeRoute``).
+_SHAPES = {
+    "transpose": lambda e, f, p: lazy(e).T,
+    "matmul": lambda e, f, p: lazy(e).T.matmul(lazy(f), p),
+    "add": lambda e, f, p: lazy(e).add(lazy(_same_keys(e)), p.add),
+    "multiply": lambda e, f, p: lazy(e).multiply_elementwise(
+        lazy(_same_keys(e)), p.mul),
+    "transposed_add": lambda e, f, p: lazy(e).T.add(
+        lazy(_same_keys(e)).T, p.add),
+    "reduce_rows": lambda e, f, p: lazy(e).reduce_rows(p.add),
+    "reduce_cols": lambda e, f, p: lazy(e).T.reduce_cols(p.add),
+    "transposed_select": lambda e, f, p: lazy(e).select(
+        list(e.row_keys)[:3 * len(e.row_keys) // 4], list(e.col_keys)).T,
+    "with_keys": lambda e, f, p: lazy(e).T.matmul(lazy(f), p)
+        .with_keys(None, None),
+    "kron": lambda e, f, p: lazy(e).select(list(e.row_keys)[:3],
+                                           list(e.col_keys)[:4]).kron(
+        lazy(f).select(list(f.row_keys)[:3], list(f.col_keys)[:4]),
+        p.mul),
+    "adjacency_degrees": lambda e, f, p: lazy(e).T.matmul(lazy(f), p)
+        .reduce_rows(p.add),
+}
+
+
+class TestStoredBackend:
+    """``explain()`` names and sizes every node by the backend its
+    result is stored on (``CostEstimate.stored``), which can differ from
+    the backend it could be promoted to (``CostEstimate.backend``, the
+    routing input): a generic product of numeric-capable operands
+    yields a dict-backed array, and transposing a large dict array
+    promotes it."""
+
+    @pytest.mark.parametrize("n_edges", [20, 400])
+    @pytest.mark.parametrize("form", ["dict", "promoted", "numeric"])
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_every_node_is_sized_on_the_backend_it_is_stored_on(
+            self, shape, form, n_edges):
+        from repro.expr.ast import topological_order
+        from repro.expr.cost import DICT_ENTRY_BYTES, NUMERIC_ENTRY_BYTES
+        from repro.expr.execute import _Executor
+        e, f, pair = _min_plus_incidence(n_edges, form)
+        the_plan = plan(_SHAPES[shape](e, f, pair),
+                        optimize_plan=shape != "matmul")
+        executor = _Executor(the_plan)
+        executor.run()
+        for node in topological_order(the_plan.root):
+            est = the_plan.estimates[id(node)]
+            stored = executor.results[id(node)].backend
+            assert est.stored == stored, (node.label(), est)
+            per = NUMERIC_ENTRY_BYTES if stored == "numeric" \
+                else DICT_ENTRY_BYTES
+            assert est.bytes == est.nnz * per
+        root_line = the_plan.explain().splitlines()[0]
+        assert root_line.endswith(
+            f"entries ({executor.results[id(the_plan.root)].backend})")
 
 
 class TestOptimizerMemoSoundness:

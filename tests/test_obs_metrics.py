@@ -9,11 +9,13 @@ import pytest
 
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
+    LATENCY_BUCKETS_WIDE,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     get_registry,
+    log_buckets,
     render_prometheus,
 )
 
@@ -161,6 +163,69 @@ class TestHistogram:
     def test_needs_at_least_one_bucket(self):
         with pytest.raises(ValueError, match="at least one bucket"):
             Histogram(buckets=())
+
+
+class TestLogBuckets:
+    @pytest.mark.parametrize("lo,hi,per_decade", [
+        (1e-6, 60.0, 9), (1e-3, 1.0, 3), (0.5, 2.0, 1),
+        (1e-4, 1.295e-4, 9)])
+    def test_bounds_strictly_increase_from_lo_to_hi(self, lo, hi,
+                                                    per_decade):
+        bounds = log_buckets(lo, hi, per_decade)
+        assert bounds[0] == lo and bounds[-1] == hi
+        assert all(a < b for a, b in zip(bounds, bounds[1:])), bounds
+
+    def test_one_step_per_bucket(self):
+        bounds = log_buckets(1e-3, 1.0, 3)
+        assert bounds == (0.001, 0.0022, 0.0046, 0.01, 0.022, 0.046,
+                          0.1, 0.22, 0.46, 1.0)
+
+    @pytest.mark.parametrize("lo,hi,per_decade", [
+        (0.0, 1.0, 9), (-1.0, 1.0, 9), (1.0, 1.0, 9), (2.0, 1.0, 9),
+        (1e-3, 1.0, 0)])
+    def test_invalid_arguments_raise(self, lo, hi, per_decade):
+        with pytest.raises(ValueError):
+            log_buckets(lo, hi, per_decade)
+
+    def test_wide_preset_spans_a_microsecond_to_a_minute(self):
+        assert LATENCY_BUCKETS_WIDE[0] == 1e-6
+        assert LATENCY_BUCKETS_WIDE[-1] == 60.0
+        assert len(set(LATENCY_BUCKETS_WIDE)) == len(LATENCY_BUCKETS_WIDE)
+        text = render_prometheus(self._registry_with_wide_histogram())
+        bucket_lines = [line for line in text.splitlines()
+                        if line.startswith("lat_seconds_bucket")]
+        assert len(bucket_lines) == len(set(bucket_lines)) == \
+            len(LATENCY_BUCKETS_WIDE) + 1
+
+    @staticmethod
+    def _registry_with_wide_histogram():
+        reg = MetricsRegistry()
+        reg.histogram("lat_seconds", buckets=LATENCY_BUCKETS_WIDE
+                      ).observe(0.01)
+        return reg
+
+    @pytest.mark.parametrize("magnitude", [
+        3e-6, 4e-5, 5e-4, 6e-3, 0.07, 0.8, 9.0])
+    def test_wide_preset_quantiles_within_one_bucket_ratio(self,
+                                                           magnitude):
+        import random
+        rng = random.Random(7)
+        values = sorted(magnitude * 1.5 ** rng.random()
+                        for _ in range(1000))
+        h = Histogram(buckets=LATENCY_BUCKETS_WIDE)
+        for v in values:
+            h.observe(v)
+        widest = max(b / a for a, b in zip(LATENCY_BUCKETS_WIDE,
+                                           LATENCY_BUCKETS_WIDE[1:]))
+        for q in (0.5, 0.99, 0.999):
+            exact = values[min(len(values) - 1, int(q * len(values)))]
+            assert abs(h.percentile(q) - exact) / exact <= widest - 1
+
+    def test_default_preset_cannot_resolve_microseconds(self):
+        h = Histogram(buckets=DEFAULT_LATENCY_BUCKETS)
+        for i in range(100):
+            h.observe(3e-6 + i * 1e-8)
+        assert h.percentile(0.99) > 10 * 4e-6
 
 
 class TestRegistry:

@@ -354,9 +354,6 @@ class TestProfileDiff:
     def test_load_profile_functions_formats(self, tmp_path):
         import json
         table = {"f": {"self": 3, "total": 5}}
-        bench = tmp_path / "BENCH_x.json"
-        bench.write_text(json.dumps({"profile": {"functions": table}}))
-        assert load_profile_functions(bench)["f"]["self"] == 3
         raw = tmp_path / "dump.json"
         raw.write_text(json.dumps({"functions": table}))
         assert load_profile_functions(raw) == table
