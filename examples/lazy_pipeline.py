@@ -17,8 +17,10 @@ only then does anything execute.  This example walks the surface:
    associativity, commutativity and distributivity;
 4. watch a rewrite get *refused*: ``(AB)ᵀ = BᵀAᵀ`` needs commutative
    ``⊗``, and ``max.concat`` fails the check with a concrete witness;
-5. run a 3-hop expression whose hops share one adjacency leaf after
-   common-subexpression elimination;
+5. plan a 3-hop whole-array chain ``A·A·A`` whose hops share one
+   adjacency leaf after common-subexpression elimination, and take a
+   3-hop frontier from ``semiring_khop``, which steps the vector
+   directly instead of planning;
 6. route an over-budget plan through the out-of-core shard executor;
 7. build a ``min.+`` shortest-path plan and watch the kernel routing:
    the non-``+.×`` product rides the ``sortmerge`` kernel, the
@@ -80,13 +82,23 @@ def main() -> None:
     print("— a refused rewrite —")
     print(f"{line.rule}: {line.reason}\n")
 
-    # 5. A 3-hop chain: after CSE every hop shares one adjacency leaf.
+    # 5. A 3-hop whole-array chain: after CSE every hop shares one
+    #    adjacency leaf.  A frontier from one vertex needs no plan:
+    #    semiring_khop steps x ⊕.⊗ A three times on the sortmerge kernel.
     vertices = adjacency.row_keys.union(adjacency.col_keys)
     square = adjacency.with_keys(vertices, vertices)
+    chain = lazy(square, "A")
+    for _ in range(2):
+        chain = chain.matmul(lazy(square, "A"), pair)
+    print("— a 3-hop chain sharing one adjacency leaf —")
+    transcript = explain(chain)
+    print(transcript)
+    assert "(shared node" in transcript
     source = next(iter(square.rows_nonempty()))
-    from repro.expr import khop_frontier
-    frontier = khop_frontier(square, source, 3, pair)
-    print(f"3-hop frontier from {source!r}: {len(frontier)} vertices")
+    from repro.graphs.algorithms import khop_kernel, semiring_khop
+    frontier = semiring_khop(square, source, 3, pair)
+    print(f"3-hop frontier from {source!r}: {len(frontier)} vertices "
+          f"(kernel={khop_kernel(square, pair)})\n")
 
     # 6. Over-budget plans spill to the out-of-core shard engine.
     tight = plan(lazy(eout).T.matmul(lazy(ein), pair), memory_budget=1)

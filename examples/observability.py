@@ -11,13 +11,15 @@ example walks the surface without starting an HTTP server:
    per-instance registry — the exact families ``GET /metrics`` renders
    (cache hit ratio, per-kind latency percentiles, snapshot age);
 2. inspect the trace tree the service recorded for one k-hop query:
-   planner, executor nodes, and the kernels they dispatched to
-   (``repro trace`` prints the same tree from the command line);
+   the cache's compute span and the ``kernel`` span naming the route
+   its hops took (``repro trace`` prints the same tree from the
+   command line);
 3. instrument *your own* pipeline: open a root span on a
    :class:`~repro.obs.Tracer` and every instrumented library call —
    expression planning, kernel execution — attaches itself beneath it;
 4. read the per-kernel product timings the expression executor
-   records (``expr_kernel_seconds{kernel=...}`` on ``/metrics``);
+   records for that evaluation (``expr_kernel_seconds{kernel=...}`` on
+   ``/metrics``);
 5. find the OpenMetrics exemplars that link slow histogram buckets
    back to trace ids on the exposition ``GET /metrics`` renders;
 6. read the structured event log — the same ring ``GET /events`` and

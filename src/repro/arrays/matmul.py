@@ -51,7 +51,7 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 from repro.arrays.associative import AssociativeArray
-from repro.arrays.backend import VECTORIZE_MIN_NNZ
+from repro.arrays.backend import VECTORIZE_MIN_NNZ, NumericBackend
 from repro.values.semiring import OpPair
 
 __all__ = [
@@ -60,6 +60,7 @@ __all__ = [
     "multiply_generic",
     "multiply_sortmerge",
     "sortmerge_coo",
+    "sortmerge_vecmat",
     "fold_grouped",
     "route_kernel",
     "holds_numeric",
@@ -284,10 +285,9 @@ def fold_grouped(
     key tuples are adjacent **and terms within a group sit in fold
     order** (ascending inner key — the caller's stable sort guarantees
     it).  Returns the per-group key arrays and the folded values.
-    Shared by the sortmerge product (grouping on (row, col)), the
-    vectorised vector–matrix relaxation (grouping on the output
-    coordinate alone) and the row/column reductions of
-    :mod:`repro.arrays.reductions` (grouping on the row or column).
+    Shared by the sortmerge product (grouping on (row, col)) and the
+    row/column reductions of :mod:`repro.arrays.reductions` (grouping
+    on the row or column).
 
     Each group starts from its first term and ``add_ufunc.at`` applies
     the others one by one, in order: a strict left fold for every
@@ -386,6 +386,31 @@ def sortmerge_coo(
     if keep.all():
         return rows, cols, reduced
     return rows[keep], cols[keep], reduced[keep]
+
+
+def sortmerge_vecmat(
+    positions: np.ndarray, values: np.ndarray, nb: NumericBackend,
+    op_pair: OpPair,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``y = x ⊕.⊗ A`` for a sparse row vector ``x`` holding ``values``
+    at the **ascending** row ``positions`` of ``A`` (``nb``).
+
+    The frontier's rows of ``A``'s CSR go, with ``x`` as a one-row
+    operand, to :func:`sortmerge_coo`: each output column folds ``⊕`` in
+    ascending row order, and a step costs its own terms, not ``nnz(A)``.
+    Returns ``y``'s ascending column positions and values.
+    """
+    data, indices, indptr = nb.csr()
+    lo = indptr[positions]
+    lens = indptr[positions + 1] - lo
+    total = int(lens.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    take = _range_expand(lo, lens, total)
+    _rows, cols, vals = sortmerge_coo(
+        positions, np.zeros(positions.size, dtype=np.int64), values,
+        np.repeat(positions, lens), indices[take], data[take], op_pair)
+    return cols, vals
 
 
 def multiply_sortmerge(

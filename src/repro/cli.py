@@ -35,7 +35,7 @@
     JSON answer.
 ``trace --source ADJ.tsv`` / ``trace --id TRACE_ID [--url URL]``
     Run one traced k-hop query against a local source and print the
-    span tree (handler → cache → expr plan → kernels) — or fetch one
+    span tree (service → cache → kernel) — or fetch one
     finished trace from a running server by id; a miss prints the
     structured "no such trace (ring evicted?)" error with the ring's
     retention bounds (see :mod:`repro.obs.trace`).  ``--list`` prints

@@ -32,9 +32,7 @@ from repro.expr.execute import (
     Plan,
     evaluate,
     explain,
-    khop_frontier,
     plan,
-    vecmat,
 )
 from repro.expr.rewrite import (
     AppliedRewrite,
@@ -57,8 +55,6 @@ __all__ = [
     "plan",
     "evaluate",
     "explain",
-    "vecmat",
-    "khop_frontier",
     "AppliedRewrite",
     "RefusedRewrite",
     "RewriteRule",

@@ -8,10 +8,12 @@ decided it, per-node cost annotations, and the nodes routed to the
 out-of-core shard executor.  :func:`evaluate` executes a plan;
 :func:`explain` renders its transcript without executing.
 
-Execution is a memoised post-order walk: shared nodes (k-hop chains
-after common-subexpression elimination, reused sub-queries) evaluate
-once.  Products honour the cost model's kernel choice, validated
-against the actual operands at run time; fused
+Execution is a memoised post-order walk: shared nodes (hop chains
+``A·A·…`` after common-subexpression elimination, reused sub-queries)
+evaluate once.  Vector queries (k-hop, path lengths) are not planned:
+they step through :mod:`repro.graphs.algorithms`.  Products honour
+the cost model's kernel choice, validated against the actual operands
+at run time; fused
 :class:`~repro.expr.ast.IncidenceToAdjacency` nodes never materialize
 the transposed array on the sparse kernels: ``sortmerge`` takes
 :func:`~repro.core.construction.adjacency_array`'s transpose-free
@@ -34,7 +36,6 @@ from repro.arrays.reductions import reduce_cols, reduce_rows
 from repro.core.construction import adjacency_array
 from repro.expr.ast import (
     Elementwise,
-    ExprError,
     IncidenceToAdjacency,
     Kron,
     LazyArray,
@@ -60,14 +61,10 @@ from repro.expr.rewrite import (
     RefusedRewrite,
     optimize,
 )
-from repro.values.equality import values_equal
 from repro.values.properties import DEFAULT_SAMPLES
 from repro.values.semiring import OpPair
 
-__all__ = ["Plan", "plan", "evaluate", "explain", "vecmat", "khop_frontier"]
-
-#: Row key of the 1×n vector arrays :func:`vecmat` builds.
-_VEC_KEY = "·"
+__all__ = ["Plan", "plan", "evaluate", "explain"]
 
 
 @dataclass
@@ -552,74 +549,3 @@ def _fused_generic(e: AssociativeArray, f: AssociativeArray,
                             zero=zero,
                             backend="dict" if e.pinned and f.pinned
                             else "auto")
-
-
-# ---------------------------------------------------------------------------
-# Vector front-ends (the query-service entry points)
-# ---------------------------------------------------------------------------
-
-def _vector_array(vector: Dict[Any, Any], array: AssociativeArray,
-                  zero: Any) -> AssociativeArray:
-    """A 1×n array over ``array``'s row keys from a ``{key: value}``
-    vector; keys outside the row key set are ignored (matching
-    :func:`repro.graphs.algorithms.semiring_vecmat`)."""
-    rows = array.row_keys
-    data = {(_VEC_KEY, k): v for k, v in vector.items() if k in rows}
-    return AssociativeArray(data, row_keys=[_VEC_KEY], col_keys=rows,
-                            zero=zero)
-
-
-def vecmat(vector: Dict[Any, Any], array: AssociativeArray,
-           op_pair: OpPair) -> Dict[Any, Any]:
-    """``y = x ⊕.⊗ A`` through the expression engine.
-
-    Drop-in equivalent of
-    :func:`repro.graphs.algorithms.semiring_vecmat` — same fold order
-    (the terms of each output coordinate arrive in row-key order), same
-    zero elision — but the product runs on the array's cached compiled
-    backend instead of re-indexing a Python dict per call.
-    """
-    x = _vector_array(vector, array, op_pair.zero)
-    result = evaluate(lazy(x, name="x").matmul(lazy(array, name="A"),
-                                               op_pair))
-    return {c: v for _r, c, v in result.entries()}
-
-
-def khop_frontier(
-    adjacency: AssociativeArray,
-    source: Any,
-    k: int,
-    op_pair: OpPair,
-    *,
-    optimize: bool = True,
-) -> Dict[Any, Any]:
-    """The k-hop frontier ``x ⊕.⊗ Aᵏ`` from ``source`` as one fused plan.
-
-    Builds the whole hop chain as a single expression — after
-    common-subexpression elimination every hop shares one ``A`` leaf
-    (and therefore one compiled backend) — instead of looping Python
-    vector–matrix products.  ``adjacency`` must be square (the service
-    publishes square snapshots).  Falls back to the reference
-    :func:`~repro.graphs.algorithms.semiring_vecmat` loop for
-    degenerate algebras whose ``1`` equals their ``0`` (the seed vector
-    ``{source: 1}`` is not sparse-representable there).
-    """
-    if k < 0:
-        raise ExprError(f"k must be >= 0, got {k}")
-    frontier = {source: op_pair.one}
-    if k == 0:
-        return frontier
-    if values_equal(op_pair.one, op_pair.zero):
-        from repro.graphs.algorithms import semiring_vecmat
-        for _ in range(k):
-            if not frontier:
-                break
-            frontier = semiring_vecmat(frontier, adjacency, op_pair)
-        return frontier
-    x = _vector_array(frontier, adjacency, op_pair.zero)
-    expr = lazy(x, name="seed")
-    a = lazy(adjacency, name="A")
-    for _ in range(k):
-        expr = expr.matmul(a, op_pair)
-    result = evaluate(expr, optimize=optimize)
-    return {c: v for _r, c, v in result.entries()}

@@ -12,7 +12,8 @@ incidence arrays).  This package provides:
 * :mod:`repro.graphs.generators` — seeded random multigraphs and random
   incidence values over arbitrary value domains;
 * :mod:`repro.graphs.algorithms` — downstream consumers of adjacency
-  arrays over semirings (BFS, SSSP, components, triangles).
+  arrays over semirings (k-hop frontiers, BFS, SSSP, components,
+  triangles).
 """
 
 from repro.graphs.digraph import EdgeKeyedDigraph, GraphError

@@ -6,6 +6,7 @@ the classic semiring formulations, consuming the
 :class:`~repro.arrays.associative.AssociativeArray` adjacency arrays this
 library constructs:
 
+* k-hop frontiers ``x ⊕.⊗ Aᵏ`` under any op-pair;
 * BFS levels via repeated ``∨.∧`` vector-matrix products;
 * single-source shortest paths via ``min.+`` relaxation (Bellman–Ford);
 * widest ("maximum bottleneck") paths via ``max.min``;
@@ -20,15 +21,26 @@ elided, matching the sparse-array philosophy.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
 from repro.arrays.associative import AssociativeArray
+from repro.arrays.backend import (
+    VECTORIZE_MIN_NNZ,
+    is_number,
+    usable_numeric_zero,
+)
+from repro.arrays.matmul import sortmerge_vecmat
 from repro.graphs.digraph import GraphError
+from repro.values.equality import values_equal
+from repro.values.semiring import get_op_pair
 
 __all__ = [
     "semiring_vecmat",
+    "semiring_khop",
+    "khop_kernel",
     "bfs_levels",
     "shortest_path_lengths",
     "widest_path_widths",
@@ -57,13 +69,11 @@ def semiring_vecmat(
     ``y(j) = ⊕_i x(i) ⊗ A(i, j)`` folded in row-key order; entries equal
     to the op-pair's zero are elided.
 
-    For ufunc op-pairs over a numeric-backed adjacency the relaxation
-    is fully vectorised (:func:`_vecmat_vectorized`): one gather of the
-    frontier values through the cached CSC view, one ``⊗`` ufunc call,
-    and a grouped ``⊕`` left fold — the dense-frontier
-    hot path of the serve k-hop / path-length queries.  Everything else
-    (exotic value sets, ufunc-less ops, tiny dict-backed arrays) takes
-    the per-edge reference loop below.
+    For ufunc op-pairs over a numeric-backed adjacency the product is
+    one :func:`~repro.arrays.matmul.sortmerge_vecmat` call over the
+    frontier's rows of ``A``'s cached CSR (:func:`_vecmat_vectorized`).
+    Everything else (exotic value sets, ufunc-less ops, tiny dict-backed
+    arrays) takes the per-edge reference loop below.
     """
     fast = _vecmat_vectorized(vector, adj, op_pair)
     if fast is not None:
@@ -86,69 +96,88 @@ def semiring_vecmat(
     return out
 
 
+def _vecmat_backend(adj: AssociativeArray, op_pair):
+    """The numeric backend of the vectorised product, or ``None`` for
+    the reference loop: ufunc-less or non-numeric op-pairs, NaN zeros,
+    and where :func:`_numeric_backend` gives none."""
+    if not (op_pair.has_ufuncs and op_pair.is_numeric
+            and usable_numeric_zero(op_pair.zero)):
+        return None
+    return _numeric_backend(adj)
+
+
+def _as_dict(adj: AssociativeArray, cols: np.ndarray,
+             vals: np.ndarray) -> Dict[Any, Any]:
+    keys = adj.col_keys.keys()
+    return {keys[c]: v for c, v in zip(cols.tolist(), vals.tolist())}
+
+
 def _vecmat_vectorized(
     vector: Dict[Any, Any],
     adj: AssociativeArray,
     op_pair,
 ) -> Optional[Dict[Any, Any]]:
-    """Vectorised ``x ⊕.⊗ A`` relaxation, or ``None`` when inapplicable.
-
-    Shares the sortmerge kernel's grouping helper
-    (:func:`repro.arrays.matmul.fold_grouped`): the CSC view orders
-    ``A``'s entries by (col, row), so after masking to rows the frontier
-    actually stores, each output column's terms sit adjacent and in
-    ascending row order — exactly the reference loop's fold order — and
-    one grouped left fold applies ``⊕`` per column.  Bails out (``None``) on
-    ufunc-less or non-numeric op-pairs, NaN zeros, non-numeric frontier
-    values, and dict-backed adjacencies below the promotion threshold.
-    """
-    from repro.arrays.backend import (
-        VECTORIZE_MIN_NNZ,
-        is_number,
-        usable_numeric_zero,
-    )
-    from repro.arrays.matmul import fold_grouped
+    """Vectorised ``x ⊕.⊗ A``, or ``None`` where :func:`_vecmat_backend`
+    bails out or a frontier value is not a number: the frontier, sorted
+    by row position, goes to one
+    :func:`~repro.arrays.matmul.sortmerge_vecmat` call."""
     if not vector:
         return {}
-    if not (op_pair.has_ufuncs and op_pair.is_numeric):
-        return None
-    if not usable_numeric_zero(op_pair.zero):
-        return None
-    if adj.backend != "numeric" and adj.nnz < VECTORIZE_MIN_NNZ:
-        return None
-    nb = adj.numeric_backend()
+    nb = _vecmat_backend(adj, op_pair)
     if nb is None:
         return None
     row_pos = adj.row_keys.position_map()
-    idx = []
-    xv = []
-    for k, v in vector.items():
-        p = row_pos.get(k)
-        if p is None:
-            continue
-        if not is_number(v):
-            return None
-        idx.append(p)
-        xv.append(float(v))
-    if not idx:
-        return {}
+    entries = [(row_pos[k], v) for k, v in vector.items() if k in row_pos]
+    if not all(is_number(v) for _p, v in entries):
+        return None
+    x = np.array(entries, dtype=np.float64).reshape(-1, 2)
+    x = x[np.argsort(x[:, 0])]
+    return _as_dict(adj, *sortmerge_vecmat(x[:, 0].astype(np.int64),
+                                           x[:, 1], nb, op_pair))
 
-    present = np.zeros(nb.shape[0], dtype=bool)
-    xvals = np.zeros(nb.shape[0], dtype=np.float64)
-    present[idx] = True
-    xvals[idx] = xv
-    data, row_idx, _indptr, perm = nb.csc()
-    keep = present[row_idx]
-    if not keep.any():
-        return {}
-    terms = op_pair.mul.ufunc(xvals[row_idx[keep]], data[keep])
-    (grp_cols,), reduced = fold_grouped(
-        (nb.cols[perm][keep],), terms, op_pair.add.ufunc)
-    zero = float(op_pair.zero)
-    col_keys = tuple(adj.col_keys)
-    return {col_keys[c]: v
-            for c, v in zip(grp_cols.tolist(), reduced.tolist())
-            if v != zero}
+
+def khop_kernel(adj: AssociativeArray, op_pair) -> str:
+    """The kernel :func:`semiring_khop` steps on: ``"sortmerge"`` where
+    :func:`semiring_vecmat` vectorises and the seed's ``1`` is a number
+    other than ``0``, else ``"generic"`` (the reference loop)."""
+    one = op_pair.one
+    if is_number(one) and not values_equal(one, op_pair.zero) \
+            and _vecmat_backend(adj, op_pair) is not None:
+        return "sortmerge"
+    return "generic"
+
+
+def semiring_khop(adj: AssociativeArray, source: Any, k: int,
+                  op_pair) -> Dict[Any, Any]:
+    """The ``k``-hop frontier ``x ⊕.⊗ Aᵏ`` from ``x = {source: 1}``:
+    ``k`` applications of :func:`semiring_vecmat`, stopping once the
+    frontier empties.
+
+    On the ``sortmerge`` route (:func:`khop_kernel`) the frontier stays
+    as position/value arrays between hops, each hop one
+    :func:`~repro.arrays.matmul.sortmerge_vecmat` step, and one dict is
+    built at the end; elsewhere it loops :func:`semiring_vecmat`.
+    """
+    _square_vertex_array(adj)
+    if source not in adj.row_keys:
+        raise GraphError(f"source {source!r} not a vertex")
+    if k < 0:
+        raise GraphError(f"k must be >= 0, got {k}")
+    frontier = {source: op_pair.one}
+    if k == 0 or khop_kernel(adj, op_pair) == "generic":
+        for _ in range(k):
+            if not frontier:
+                break
+            frontier = semiring_vecmat(frontier, adj, op_pair)
+        return frontier
+    nb = adj.numeric_backend()
+    positions = np.array([adj.row_keys.index(source)], dtype=np.int64)
+    values = np.array([float(op_pair.one)])
+    for _ in range(k):
+        positions, values = sortmerge_vecmat(positions, values, nb, op_pair)
+        if positions.size == 0:
+            break
+    return _as_dict(adj, positions, values)
 
 
 def bfs_levels(
@@ -187,38 +216,15 @@ def bfs_levels(
 def shortest_path_lengths(
     adj: AssociativeArray,
     source: Any,
-    *,
-    vecmat: Callable[[Dict[Any, Any], AssociativeArray, Any],
-                     Dict[Any, Any]] = semiring_vecmat,
 ) -> Dict[Any, float]:
     """Single-source shortest path lengths by ``min.+`` relaxation.
 
     ``adj`` holds non-negative edge weights (parallel edges should already
     be collapsed, e.g. by constructing the adjacency array over ``min.+``).
-    Runs Bellman–Ford-style rounds until fixpoint (≤ |V| rounds).
-    ``vecmat`` swaps the relaxation product implementation — the query
-    service passes :func:`repro.expr.vecmat` so each round runs on the
-    snapshot's compiled backend instead of this module's reference
-    Python fold.
+    Runs Bellman–Ford-style rounds until fixpoint (≤ |V| rounds), each
+    one :func:`semiring_vecmat` relaxation.
     """
-    _square_vertex_array(adj)
-    if source not in adj.row_keys:
-        raise GraphError(f"source {source!r} not a vertex")
-    from repro.values.semiring import get_op_pair
-    min_plus = get_op_pair("min_plus")
-    dist: Dict[Any, float] = {source: 0.0}
-    for _ in range(len(adj.row_keys)):
-        relaxed = vecmat(dist, adj, min_plus)
-        new = dict(dist)
-        changed = False
-        for v, d in relaxed.items():
-            if d < new.get(v, math.inf):
-                new[v] = d
-                changed = True
-        dist = new
-        if not changed:
-            break
-    return dist
+    return _relax(adj, source, "min_plus", 0.0, operator.lt, math.inf)
 
 
 def widest_path_widths(
@@ -231,24 +237,27 @@ def widest_path_widths(
     target, "the largest of all the shortest connections".  The source has
     width +∞ by convention.
     """
+    return _relax(adj, source, "max_min", math.inf, operator.gt, 0.0)
+
+
+def _relax(adj: AssociativeArray, source: Any, pair_name: str,
+           start: float, improves: Callable[[float, float], bool],
+           missing: float) -> Dict[Any, float]:
+    """Relax ``{source: start}`` to a fixpoint (≤ |V| rounds): each
+    round one :func:`semiring_vecmat` under ``pair_name``, keeping the
+    values that ``improves`` on the known ones (``missing`` if none)."""
     _square_vertex_array(adj)
     if source not in adj.row_keys:
         raise GraphError(f"source {source!r} not a vertex")
-    from repro.values.semiring import get_op_pair
-    max_min = get_op_pair("max_min")
-    width: Dict[Any, float] = {source: math.inf}
+    pair = get_op_pair(pair_name)
+    best: Dict[Any, float] = {source: start}
     for _ in range(len(adj.row_keys)):
-        relaxed = semiring_vecmat(width, adj, max_min)
-        new = dict(width)
-        changed = False
-        for v, w in relaxed.items():
-            if w > new.get(v, 0.0):
-                new[v] = w
-                changed = True
-        width = new
-        if not changed:
+        better = {v: d for v, d in semiring_vecmat(best, adj, pair).items()
+                  if improves(d, best.get(v, missing))}
+        if not better:
             break
-    return width
+        best = {**best, **better}
+    return best
 
 
 def weakly_connected_components(adj: AssociativeArray) -> Dict[Any, int]:
@@ -303,14 +312,13 @@ def triangle_count(adj: AssociativeArray) -> int:
     return count
 
 
-def _degree_backend(adj: AssociativeArray):
-    """The numeric backend for degree counting, or ``None``.
+def _numeric_backend(adj: AssociativeArray):
+    """The numeric backend for the vectorised paths, or ``None``.
 
     Mirrors the reductions-module bailout: an array not already numeric
-    with nnz below ``VECTORIZE_MIN_NNZ`` is cheaper to count generically
-    than to promote.
+    with nnz below ``VECTORIZE_MIN_NNZ`` is cheaper to handle generically
+    than to promote, and non-numeric stored values have no backend.
     """
-    from repro.arrays.backend import VECTORIZE_MIN_NNZ
     if adj.backend != "numeric" and adj.nnz < VECTORIZE_MIN_NNZ:
         return None
     return adj.numeric_backend()
@@ -325,7 +333,7 @@ def out_degrees(adj: AssociativeArray) -> Dict[Any, int]:
     dict-backed arrays stay generic (the usual ``VECTORIZE_MIN_NNZ``
     bailout — promotion would cost more than the count).
     """
-    nb = _degree_backend(adj)
+    nb = _numeric_backend(adj)
     if nb is not None:
         _data, _indices, indptr = nb.csr()
         counts = np.diff(indptr)
@@ -343,7 +351,7 @@ def in_degrees(adj: AssociativeArray) -> Dict[Any, int]:
     CSC index pointer — building it here also warms the CSC view that
     per-column neighbor queries reuse.
     """
-    nb = _degree_backend(adj)
+    nb = _numeric_backend(adj)
     if nb is not None:
         _data, _rows, indptr, _perm = nb.csc()
         counts = np.diff(indptr)

@@ -12,7 +12,7 @@ Four dependency-free pieces, threaded through every hot layer:
   (cache hit ratio, per-endpoint latency) live on each service's own.
 * :mod:`repro.obs.trace` — span tracing with ``contextvars``
   propagation: one HTTP k-hop query produces one trace tree (handler →
-  cache → snapshot → expr plan → kernel), dumpable as JSON
+  service → cache → kernel), dumpable as JSON
   (``GET /trace/<id>``) and renderable by ``repro trace``; misses
   raise :class:`~repro.obs.trace.TraceNotFound` with the ring's
   retention bounds.

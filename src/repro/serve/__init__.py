@@ -2,9 +2,10 @@
 
 The read path of the system: adjacency arrays exist so downstream
 queries — neighbors, degrees, k-hop frontiers via semiring
-vector–matrix products, path lengths, top-k edges — can run against
-them.  This package serves those queries under heavy concurrent
-traffic while edges keep streaming in:
+vector–matrix products (:func:`repro.graphs.algorithms.semiring_khop`),
+path lengths, top-k edges — can run against them.  This package serves
+those queries under heavy concurrent traffic while edges keep
+streaming in:
 
 * :mod:`repro.serve.snapshot` — :class:`Snapshot`, the immutable
   epoch-stamped read view (square adjacency array + per-snapshot

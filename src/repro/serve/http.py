@@ -38,8 +38,8 @@ The golden path for serving without importing library internals:
 is exactly what the snapshot-isolation design is for: every request
 reads one immutable snapshot reference and never blocks on ingest.
 Each query request opens a root span on the service's tracer, so the
-whole handler → cache → expr-plan → kernel path of one HTTP request is
-a single trace tree.
+whole handler → cache → kernel path of one HTTP request is a single
+trace tree.
 
 Errors come back as JSON bodies ``{"error": ..., "status": ...}`` —
 400 for malformed requests, 404 for unknown routes/kinds/vertices.

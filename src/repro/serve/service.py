@@ -26,6 +26,9 @@ that is safe to share across reader threads while edges keep arriving:
   cache can never serve a stale epoch; publication invalidates
   superseded entries.  Hit/miss/latency counters surface through the
   ``stats`` query.
+* **Graph queries** — ``khop`` runs
+  :func:`~repro.graphs.algorithms.semiring_khop` on the snapshot's
+  arrays, under a ``kernel`` trace span naming the route it took.
 """
 
 from __future__ import annotations
@@ -40,8 +43,11 @@ from repro.arrays.associative import AssociativeArray
 from repro.arrays.io import iter_tsv_triples
 from repro.core.certify import Certification, certify
 from repro.core.streaming import StreamingAdjacencyBuilder
-from repro.expr import khop_frontier, vecmat
-from repro.graphs.algorithms import shortest_path_lengths
+from repro.graphs.algorithms import (
+    khop_kernel,
+    semiring_khop,
+    shortest_path_lengths,
+)
 from repro.graphs.digraph import GraphError
 from repro.obs.events import emit_event
 from repro.obs.metrics import LATENCY_BUCKETS_WIDE, MetricsRegistry
@@ -161,6 +167,13 @@ class AdjacencyService:
         # -- named instruments (the serve metrics catalog) -------------
         self._queries_total = self.metrics.counter(
             "serve_queries_total", "Queries answered (all kinds)")
+        # Wide log buckets: the narrow default saturates below 100 µs,
+        # misreporting p99 for sub-millisecond cached hits.
+        self._request_seconds = {
+            kind: self.metrics.histogram(
+                "serve_request_seconds", "Query latency, by kind",
+                buckets=LATENCY_BUCKETS_WIDE, kind=kind)
+            for kind in QUERY_KINDS}
         self._publications_total = self.metrics.counter(
             "serve_publications_total", "Epoch publications")
         self._publish_seconds = self.metrics.histogram(
@@ -409,22 +422,16 @@ class AdjacencyService:
         parameters raise :class:`ServeError`; unknown vertices raise
         :class:`UnknownVertexError`.
         """
+        latency = self._request_seconds.get(kind)
+        if latency is None:
+            raise ServeError(f"unknown query kind {kind!r}; known: "
+                             f"{', '.join(QUERY_KINDS)}")
         self._queries_total.inc()
-        self.metrics.counter("serve_requests_total",
-                             "Queries answered, by kind",
-                             kind=kind).inc()
         snapshot = self._snapshot  # one atomic read per query
         # Span outermost: the timer's observe() must fire while the
         # span is still current, or the histogram gets no exemplar.
-        # The latency histogram uses the wide log-bucketed preset: the
-        # narrow default saturates below 100 µs, misreporting p99 for
-        # sub-millisecond cached hits.
         with self.tracer.span("service.query", kind=kind,
-                              epoch=snapshot.epoch) as sp, \
-                self.metrics.histogram("serve_request_seconds",
-                                       "Query latency, by kind",
-                                       buckets=LATENCY_BUCKETS_WIDE,
-                                       kind=kind).time():
+                              epoch=snapshot.epoch) as sp, latency.time():
             if kind == "stats":
                 return {"epoch": snapshot.epoch, "kind": kind,
                         "cached": False, "result": self._stats(snapshot)}
@@ -518,11 +525,10 @@ class AdjacencyService:
 
             def compute():
                 snapshot.require_vertex(vertex)
-                # One fused expression for the whole hop chain: after
-                # common-subexpression elimination every hop shares the
-                # snapshot's adjacency leaf (and its compiled backend)
-                # instead of re-indexing the array per Python vecmat.
-                return khop_frontier(snapshot.adjacency, vertex, k, pair)
+                adjacency = snapshot.adjacency
+                with span("kernel", kernel=khop_kernel(adjacency, pair),
+                          hops=k):
+                    return semiring_khop(adjacency, vertex, k, pair)
             return compute, (snapshot.epoch, kind, vertex, k, pair.name)
         if kind == "path_lengths":
             vertex = self._required(params, "vertex")
@@ -530,18 +536,12 @@ class AdjacencyService:
 
             def compute():
                 snapshot.require_vertex(vertex)
-                # Each min.+ relaxation round runs through the engine
-                # on the snapshot's compiled backend instead of the
-                # reference Python fold.
-                return shortest_path_lengths(snapshot.adjacency, vertex,
-                                             vecmat=vecmat)
+                return shortest_path_lengths(snapshot.adjacency, vertex)
             return compute, (snapshot.epoch, kind, vertex)
-        if kind == "top_k":
-            k = self._nonneg_int(params, "k", default=10)
-            self._no_extra(params, {"k"})
-            return (lambda: snapshot.top_k(k)), (snapshot.epoch, kind, k)
-        raise ServeError(
-            f"unknown query kind {kind!r}; known: {', '.join(QUERY_KINDS)}")
+        # top_k: query() has already refused unknown kinds.
+        k = self._nonneg_int(params, "k", default=10)
+        self._no_extra(params, {"k"})
+        return (lambda: snapshot.top_k(k)), (snapshot.epoch, kind, k)
 
     def _stats(self, snapshot: Snapshot) -> Dict[str, Any]:
         return {
@@ -556,20 +556,10 @@ class AdjacencyService:
             "snapshot_age_seconds": time.time() - snapshot.published_at,
             "publication_latency": self._publish_seconds.snapshot(),
             "last_publication": self._last_publication,
-            "latency": self._latency_stats(),
+            "latency": {kind: hist.snapshot()
+                        for kind, hist in self._request_seconds.items()},
             "cache": self._cache.stats(),
         }
-
-    def _latency_stats(self) -> Dict[str, Any]:
-        """Per-kind request-latency histogram summaries for ``stats``."""
-        out: Dict[str, Any] = {}
-        for family in self.metrics.families():
-            if family.name != "serve_request_seconds":
-                continue
-            for labels, hist in sorted(family.children.items()):
-                kind = dict(labels).get("kind", "")
-                out[kind] = hist.snapshot()
-        return out
 
     # -- parameter validation helpers ----------------------------------
     @staticmethod

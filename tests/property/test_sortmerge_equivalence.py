@@ -11,12 +11,13 @@ deterministically.
 
 from __future__ import annotations
 
-import math
-
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.arrays.associative import AssociativeArray
+from repro.arrays.backend import VECTORIZE_MIN_NNZ
 from repro.arrays.matmul import (
     MatmulError,
     _pick_kernel,
@@ -25,7 +26,11 @@ from repro.arrays.matmul import (
     multiply_sortmerge,
 )
 from repro.arrays.sparse_backend import multiply_vectorized
-from repro.graphs.algorithms import semiring_vecmat
+from repro.graphs.algorithms import (
+    khop_kernel,
+    semiring_khop,
+    semiring_vecmat,
+)
 from repro.values.semiring import get_op_pair
 
 from tests.helpers import SAFE_NUMERIC_PAIRS
@@ -65,24 +70,88 @@ def test_sortmerge_matches_scipy_on_plus_times(ab):
     assert sm.allclose(sc)
 
 
-@settings(max_examples=30, **COMMON)
-@given(ab=conformable_numeric_arrays(zero=math.inf))
-def test_vecmat_vectorized_matches_reference(ab):
-    """The vectorised vector–matrix relaxation (which shares the
-    sortmerge grouping helper) agrees with the per-edge reference loop
-    on every random square min.+ adjacency and frontier."""
-    a, _b = ab
-    pair = get_op_pair("min_plus")
+def _square_from(a: AssociativeArray, zero) -> AssociativeArray:
+    """A square array over ``a``'s rows and renamed columns: ``a``'s
+    entries, plus a reverse edge for each odd value so that walks run
+    past one hop."""
     verts = list(a.row_keys) + [f"x{i}" for i in range(len(a.col_keys))]
-    data = {}
-    for (r, c), v in a.to_dict().items():
-        data[(r, f"x{list(a.col_keys).index(c)}")] = v
-    adj = AssociativeArray(data, row_keys=verts, col_keys=verts,
-                           zero=pair.zero)
+    pos = a.col_keys.position_map()
+    data = {(r, f"x{pos[c]}"): v for (r, c), v in a.to_dict().items()}
+    data.update({(f"x{pos[c]}", r): v + 1.0
+                 for (r, c), v in a.to_dict().items() if v % 2})
+    return AssociativeArray(data, row_keys=verts, col_keys=verts,
+                            zero=zero)
+
+
+@pytest.mark.parametrize("name", SAFE_NUMERIC_PAIRS)
+@settings(max_examples=30, **COMMON)
+@given(ab=conformable_numeric_arrays(zero=0.0))
+def test_vecmat_vectorized_matches_reference(name, ab):
+    """The vectorised vector–matrix product (one ``sortmerge_vecmat``
+    call) equals the per-edge reference loop on every random square
+    adjacency and frontier."""
+    pair = get_op_pair(name)
+    adj = _square_from(ab[0], pair.zero)
+    verts = list(adj.row_keys)
     frontier = {v: float(i % 4) for i, v in enumerate(verts) if i % 2 == 0}
     fast = semiring_vecmat(frontier, adj.with_backend("numeric"), pair)
     ref = semiring_vecmat(frontier, adj.with_backend("dict"), pair)
     assert fast == ref
+
+
+@pytest.mark.parametrize("name", SAFE_NUMERIC_PAIRS)
+@settings(max_examples=30, **COMMON)
+@given(ab=conformable_numeric_arrays(zero=0.0), k=st.integers(0, 3),
+       pick=st.integers(0, 63))
+def test_khop_matches_vecmat_loop(name, ab, k, pick):
+    """``semiring_khop`` on the numeric-backed array (sortmerge route)
+    equals ``k`` reference ``semiring_vecmat`` steps on its dict-pinned
+    copy, exactly."""
+    pair = get_op_pair(name)
+    adj = _square_from(ab[0], pair.zero)
+    numeric, pinned = adj.with_backend("numeric"), adj.with_backend("dict")
+    assert khop_kernel(numeric, pair) == "sortmerge"
+    assert khop_kernel(pinned, pair) == "generic"
+    source = list(adj.row_keys)[pick % len(adj.row_keys)]
+    want = {source: pair.one}
+    for _ in range(k):
+        want = semiring_vecmat(want, pinned, pair)
+    assert semiring_khop(numeric, source, k, pair) == want
+
+
+class TestFloatFoldOrder:
+    """A column fed ``3, 1e16, −1e16`` in row order: the left fold gives
+    4.0, ``np.add.reduceat``'s pairwise fold 3.0.  Padding past
+    ``VECTORIZE_MIN_NNZ`` puts a dict-backed array on the vectorised
+    route."""
+
+    PAIR = get_op_pair("plus_times")
+
+    def _adjacency(self) -> AssociativeArray:
+        data = {("s", "a0"): 1.0, ("s", "a1"): 1.0, ("s", "a2"): 1.0,
+                ("a0", "t"): 3.0, ("a1", "t"): 1e16, ("a2", "t"): -1e16}
+        data.update({(f"p{i:03d}", f"q{i:03d}"): 1.0
+                     for i in range(VECTORIZE_MIN_NNZ)})
+        keys = {k for rc in data for k in rc}
+        adj = AssociativeArray(data, row_keys=keys, col_keys=keys,
+                               zero=self.PAIR.zero)
+        assert adj.backend == "dict" and adj.nnz > VECTORIZE_MIN_NNZ
+        assert khop_kernel(adj, self.PAIR) == "sortmerge"
+        return adj
+
+    def test_reduceat_would_fold_pairwise(self):
+        terms = np.array([3.0, 1e16, -1e16])
+        assert np.add.reduceat(terms, [0])[0] == 3.0
+        assert (3.0 + 1e16) - 1e16 == 4.0
+
+    def test_vecmat_left_folds(self):
+        got = semiring_vecmat({"a0": 1.0, "a1": 1.0, "a2": 1.0},
+                              self._adjacency(), self.PAIR)
+        assert got == {"t": 4.0}
+
+    def test_khop_left_folds(self):
+        assert semiring_khop(self._adjacency(), "s", 2, self.PAIR) == \
+            {"t": 4.0}
 
 
 class TestDegenerateShapes:

@@ -10,10 +10,13 @@ import pytest
 
 from repro.arrays.associative import AssociativeArray
 from repro.core.construction import adjacency_array
+import repro.graphs.algorithms as algorithms
 from repro.graphs.algorithms import (
     bfs_levels,
     in_degrees,
+    khop_kernel,
     out_degrees,
+    semiring_khop,
     semiring_vecmat,
     shortest_path_lengths,
     triangle_count,
@@ -21,7 +24,7 @@ from repro.graphs.algorithms import (
     widest_path_widths,
 )
 from repro.graphs.digraph import EdgeKeyedDigraph, GraphError
-from repro.graphs.generators import erdos_renyi_multigraph
+from repro.graphs.generators import erdos_renyi_multigraph, rmat_multigraph
 from repro.graphs.incidence import incidence_arrays
 from repro.values.semiring import get_op_pair
 
@@ -190,6 +193,99 @@ class TestDegreesAndVecmat:
         adj = _square_adjacency(graph, "plus_times", {"e000": 2.0})
         y = semiring_vecmat({"c": 1.0}, adj, get_op_pair("plus_times"))
         assert y == {}
+
+
+def _small(data, keys, zero=0.0):
+    return AssociativeArray(data, row_keys=keys, col_keys=keys, zero=zero)
+
+
+def _music_square(seed: int = 11, scale: int = 6, edges: int = 120):
+    """A +.× adjacency over an R-MAT multigraph, squared over its
+    vertex union."""
+    pair = get_op_pair("plus_times")
+    graph = rmat_multigraph(scale, edges, seed=seed)
+    weights = {k: float(1 + (i % 7)) for i, k in enumerate(graph.edge_keys)}
+    eout, ein = incidence_arrays(graph, zero=pair.zero, out_values=weights,
+                                 in_values=weights)
+    a = adjacency_array(eout, ein, pair)
+    vertices = a.row_keys.union(a.col_keys)
+    return a.with_keys(vertices, vertices)
+
+
+class TestKhop:
+    PAIR = get_op_pair("plus_times")
+
+    def test_khop_chain_matches_vecmat_loop(self):
+        a = _music_square()
+        source = next(iter(a.rows_nonempty()))
+        frontier = {source: self.PAIR.one}
+        for _ in range(3):
+            frontier = semiring_vecmat(frontier, a, self.PAIR)
+        numeric = a.with_backend("numeric")
+        assert khop_kernel(numeric, self.PAIR) == "sortmerge"
+        assert semiring_khop(a, source, 3, self.PAIR) == frontier
+        assert semiring_khop(numeric, source, 3, self.PAIR) == frontier
+
+    def test_khop_zero_hops_and_degenerate_pair(self):
+        a = _small({("a", "b"): 1.0}, ["a", "b"])
+        assert semiring_khop(a, "a", 0, self.PAIR) == {"a": self.PAIR.one}
+        # nonneg_max_plus has one == zero: falls back to the loop.
+        degenerate = get_op_pair("nonneg_max_plus")
+        assert khop_kernel(a.with_backend("numeric"), degenerate) \
+            == "generic"
+        assert semiring_khop(a, "a", 1, degenerate) == \
+            semiring_vecmat({"a": degenerate.one}, a, degenerate)
+
+    def test_vecmat_matches_reference(self):
+        a = _music_square(edges=150)
+        vec = {v: float(i + 1) for i, v in enumerate(list(a.row_keys)[:5])}
+        assert semiring_vecmat(vec, a.with_backend("numeric"), self.PAIR) \
+            == semiring_vecmat(vec, a.with_backend("dict"), self.PAIR)
+
+    @pytest.mark.parametrize("backend", ["dict", "numeric"])
+    def test_500_hop_cycle_walk(self, backend):
+        a = _small({("a", "b"): 1.0, ("b", "a"): 1.0},
+                   ["a", "b"]).with_backend(backend)
+        # Even-length walk around the 2-cycle.
+        assert semiring_khop(a, "a", 500, self.PAIR) == {"a": 1.0}
+
+    @pytest.mark.parametrize("backend, step", [
+        ("dict", "semiring_vecmat"), ("numeric", "sortmerge_vecmat")])
+    def test_emptied_frontier_stops_after_one_step(self, monkeypatch,
+                                                   backend, step):
+        # b is a dead end: the frontier empties after one hop, and the
+        # remaining 254 hops must not run.
+        a = _small({("a", "b"): 2.0}, ["a", "b"]).with_backend(backend)
+        real = getattr(algorithms, step)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(algorithms, step, counted)
+        assert semiring_khop(a, "b", 255, self.PAIR) == {}
+        assert len(calls) == 1
+
+    def test_non_square_refused(self):
+        a = AssociativeArray({("a", "b"): 1.0}, row_keys=["a"],
+                             col_keys=["a", "b"])
+        with pytest.raises(GraphError, match="square"):
+            semiring_khop(a, "a", 1, self.PAIR)
+
+    def test_unknown_source_refused(self):
+        a = _small({("a", "b"): 1.0}, ["a", "b"])
+        with pytest.raises(GraphError, match="not a vertex"):
+            semiring_khop(a, "zz", 1, self.PAIR)
+
+    def test_negative_k_refused(self):
+        a = _small({("a", "b"): 1.0}, ["a", "b"])
+        with pytest.raises(GraphError, match="k must be"):
+            semiring_khop(a, "a", -1, self.PAIR)
+
+    def test_shortest_paths_take_no_product_argument(self):
+        import inspect
+        assert list(inspect.signature(shortest_path_lengths).parameters) \
+            == ["adj", "source"]
 
 
 class TestDegreesBackends:

@@ -258,7 +258,6 @@ class TestTraceCLI:
         assert "khop(vertex='a', k=3)" in out
         assert "trace t" in out
         assert "service.query" in out
-        assert "expr.plan" in out and "expr.execute" in out
         assert "kernel" in out
 
     def test_trace_default_vertex_and_json(self, tmp_path, capsys):

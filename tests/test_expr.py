@@ -15,13 +15,10 @@ from repro.expr import (
     REDUCE_KEY,
     evaluate,
     explain,
-    khop_frontier,
     lazy,
     plan,
-    vecmat,
 )
 from repro.expr.ast import IncidenceToAdjacency, Leaf, MatMul, Transpose
-from repro.graphs.algorithms import semiring_vecmat
 from repro.graphs.generators import rmat_multigraph
 from repro.graphs.incidence import incidence_arrays
 from repro.values.semiring import get_op_pair
@@ -132,33 +129,6 @@ class TestEquivalence:
         b = _small({("x", "y"): 4.0}, ["x", "y"], ["x", "y"])
         expr = lazy(a).kron(lazy(b), PAIR.mul)
         assert evaluate(expr) == kron(a, b, PAIR.mul)
-
-    def test_khop_chain_matches_vecmat_loop(self):
-        eout, ein = _music_like(scale=6, edges=120)
-        a = adjacency_array(eout, ein, PAIR)
-        vertices = a.row_keys.union(a.col_keys)
-        a = a.with_keys(vertices, vertices)
-        source = next(iter(a.rows_nonempty()))
-        frontier = {source: PAIR.one}
-        for _ in range(3):
-            frontier = semiring_vecmat(frontier, a, PAIR)
-        assert khop_frontier(a, source, 3, PAIR) == frontier
-
-    def test_khop_zero_hops_and_degenerate_pair(self):
-        a = _small({("a", "b"): 1.0}, ["a", "b"], ["a", "b"])
-        assert khop_frontier(a, "a", 0, PAIR) == {"a": PAIR.one}
-        # nonneg_max_plus has one == zero: falls back to the loop.
-        degenerate = get_op_pair("nonneg_max_plus")
-        assert khop_frontier(a, "a", 1, degenerate) == \
-            semiring_vecmat({"a": degenerate.one}, a, degenerate)
-
-    def test_vecmat_matches_reference(self):
-        eout, ein = _music_like(scale=6, edges=150)
-        a = adjacency_array(eout, ein, PAIR)
-        vertices = a.row_keys.union(a.col_keys)
-        a = a.with_keys(vertices, vertices)
-        vec = {v: float(i + 1) for i, v in enumerate(list(vertices)[:5])}
-        assert vecmat(vec, a, PAIR) == semiring_vecmat(vec, a, PAIR)
 
 
 def frozenset_keys(keys):
@@ -492,15 +462,13 @@ class TestOptimizerMemoSoundness:
 
 
 class TestDeepChains:
-    """Regression: planning, explaining and executing a hop chain far
-    past the default service bound must not approach the recursion
+    """Regression: planning, explaining and executing a product chain
+    far past the default service bound must not approach the recursion
     limit (the walks are topological-order driven, not recursive)."""
 
-    def test_500_hop_chain_plans_explains_and_runs(self):
+    def test_500_hop_chain_plans_and_explains(self):
         a = _small({("a", "b"): 1.0, ("b", "a"): 1.0}, ["a", "b"],
                    ["a", "b"])
-        frontier = khop_frontier(a, "a", 500, PAIR)
-        assert frontier == {"a": 1.0}     # even-length cycle walk
         al = lazy(a, "A")
         expr = lazy(_small({("·", "a"): 1.0}, ["·"], ["a", "b"]), "x")
         for _ in range(500):
@@ -508,15 +476,20 @@ class TestDeepChains:
         text = explain(expr)
         assert "(shared node" in text      # the chain shares one A leaf
 
-    def test_emptied_frontier_hops_are_cheap(self):
-        # b is a dead end: the frontier empties after one hop, and the
-        # remaining 254 products must short-circuit (runtime emptiness,
-        # invisible to static dead-branch pruning).
+    def test_emptied_chain_runs_one_kernel(self):
+        # b is a dead end: the product empties after one kernel call, and
+        # the remaining 254 products must short-circuit (runtime
+        # emptiness, invisible to static dead-branch pruning).
+        from repro.obs.events import get_event_log
         a = _small({("a", "b"): 2.0}, ["a", "b"], ["a", "b"])
-        import time
-        t0 = time.perf_counter()
-        assert khop_frontier(a, "b", 255, PAIR) == {}
-        assert time.perf_counter() - t0 < 2.0
+        al = lazy(a, "A")
+        expr = lazy(_small({("·", "b"): 1.0}, ["·"], ["a", "b"]), "x")
+        for _ in range(255):
+            expr = expr.matmul(al, PAIR)
+        log = get_event_log()
+        before = log.retention()["last_seq"] or 0
+        assert evaluate(expr).nnz == 0
+        assert len(log.events(kind="expr.kernel", since=before)) == 1
 
 
 _EXPLAIN_SCRIPT = """

@@ -14,6 +14,7 @@ from repro.arrays.matmul import (
     multiply,
     multiply_generic,
     sortmerge_coo,
+    sortmerge_vecmat,
 )
 from repro.core.construction import adjacency_array
 from repro.values.semiring import get_op_pair
@@ -212,6 +213,44 @@ class TestSortmergeGrouping:
         assert rows.tolist() == [3, big, big]
         assert cols.tolist() == [big, 5, big]
         assert vals.tolist() == [12.0, 33.0, 11.0]
+
+
+class TestSortmergeVecmat:
+    """The k-hop step: a sparse row vector times ``A`` on sortmerge."""
+
+    def _square(self, zero):
+        keys = ["a", "b", "c", "d"]
+        data = {("a", "b"): 2.0, ("a", "c"): 5.0, ("b", "c"): 3.0,
+                ("c", "a"): 4.0, ("c", "c"): 1.0}
+        return _arr(data, keys, keys, zero=zero)
+
+    @pytest.mark.parametrize("name", SAFE_NUMERIC_PAIRS)
+    def test_equals_the_one_row_generic_product(self, name):
+        pair = get_op_pair(name)
+        adj = self._square(pair.zero)
+        x = _arr({("x", "a"): 7.0, ("x", "c"): 0.5}, ["x"],
+                 list(adj.row_keys), zero=pair.zero)
+        want = multiply(x, adj, pair, kernel="generic")
+        cols, vals = sortmerge_vecmat(
+            np.array([0, 2]), np.array([7.0, 0.5]),
+            adj.numeric_backend(), pair)
+        keys = adj.col_keys.keys()
+        assert {keys[c]: v for c, v in zip(cols.tolist(),
+                                           vals.tolist())} == \
+            {c: v for _x, c, v in want.entries()}
+        assert cols.tolist() == sorted(cols.tolist())
+
+    def test_rows_without_entries_skip_the_kernel(self, monkeypatch):
+        import repro.arrays.matmul as matmul
+        pair = get_op_pair("plus_times")
+        nb = self._square(pair.zero).numeric_backend()
+        calls = []
+        monkeypatch.setattr(matmul, "sortmerge_coo",
+                            lambda *args: calls.append(args))
+        cols, vals = sortmerge_vecmat(np.array([3]), np.array([1.0]), nb,
+                                      pair)
+        assert cols.size == 0 and vals.size == 0
+        assert not calls
 
 
 class TestKernelSelection:

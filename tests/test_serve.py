@@ -11,6 +11,7 @@ from repro.core.construction import adjacency_array
 from repro.core.streaming import StreamingAdjacencyBuilder
 from repro.graphs.incidence import incidence_arrays
 from repro.serve import (
+    QUERY_KINDS,
     AdjacencyService,
     QueryCache,
     ServeError,
@@ -189,6 +190,27 @@ class TestQueryErrors:
     def test_unknown_kind(self):
         with pytest.raises(ServeError, match="unknown query kind"):
             small_service().query("pagerank")
+
+    def test_unknown_kinds_create_no_instrument_children(self):
+        svc = small_service()
+        for kind in ("bogus1", "bogus2", "bogus3"):
+            with pytest.raises(ServeError, match="unknown query kind"):
+                svc.query(kind)
+        labelled = [(family.name, dict(labels)["kind"])
+                    for family in svc.metrics.families()
+                    for labels in family.children if dict(labels).get("kind")]
+        assert labelled
+        assert all(kind in QUERY_KINDS for _name, kind in labelled), \
+            labelled
+        assert svc.stats()["queries"] == 1   # the stats call itself
+
+    def test_stats_latency_lists_every_kind(self):
+        svc = small_service()
+        svc.neighbors("alice")
+        latency = svc.stats()["latency"]
+        assert set(latency) == set(QUERY_KINDS)
+        assert latency["neighbors"]["count"] == 1
+        assert latency["khop"]["count"] == 0
 
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertexError):
