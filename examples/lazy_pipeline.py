@@ -21,8 +21,7 @@ only then does anything execute.  This example walks the surface:
    adjacency leaf after common-subexpression elimination, and take a
    3-hop frontier from ``semiring_khop``, which steps the vector
    directly instead of planning;
-6. route an over-budget plan through the out-of-core shard executor;
-7. build a ``min.+`` shortest-path plan and watch the kernel routing:
+6. build a ``min.+`` shortest-path plan and watch the kernel routing:
    the non-``+.×`` product rides the ``sortmerge`` kernel, the
    transcript reports its term count and working set, and the relaxed
    distances match Bellman–Ford exactly.
@@ -100,14 +99,7 @@ def main() -> None:
     print(f"3-hop frontier from {source!r}: {len(frontier)} vertices "
           f"(kernel={khop_kernel(square, pair)})\n")
 
-    # 6. Over-budget plans spill to the out-of-core shard engine.
-    tight = plan(lazy(eout).T.matmul(lazy(ein), pair), memory_budget=1)
-    assert tight.shard_nodes
-    assert tight.execute() == batch
-    print("over-budget plan routed through the shard executor "
-          "and matched batch\n")
-
-    # 7. A min.+ shortest-path plan: the same expression surface, a
+    # 6. A min.+ shortest-path plan: the same expression surface, a
     #    different algebra.  The adjacency product is not +.× so scipy
     #    is off the table — the plan routes it through the sortmerge
     #    kernel, and explain() shows the routing with its term count

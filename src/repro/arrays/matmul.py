@@ -98,6 +98,14 @@ def multiply(
     ``op_pair.zero``; result entries equal to that zero are not stored.
     """
     _check_conformable(a, b)
+    return _dispatch(a, b, op_pair, mode, kernel)
+
+
+def _dispatch(a: AssociativeArray, b: AssociativeArray, op_pair: OpPair,
+              mode: str, kernel: str) -> AssociativeArray:
+    """:func:`multiply` on operands whose inner key sets are already
+    known to match (:func:`repro.core.construction.adjacency_array`
+    checks its shared edge key set once, before it dispatches here)."""
     if mode not in ("sparse", "dense"):
         raise MatmulError(f"unknown mode {mode!r}; use 'sparse' or 'dense'")
     if kernel == "auto":
@@ -192,15 +200,25 @@ def multiply_generic(
     entire inner key set.  Both fold ``A(k1,k3) ⊗ B(k3,k2)`` with operands
     in that order.
     """
-    zero = op_pair.zero
-    inner = a.col_keys
     if mode == "dense":
         return _generic_dense(a, b, op_pair)
+    return _generic_sparse(a, b, op_pair)
 
+
+def _generic_sparse(a: AssociativeArray, b: AssociativeArray,
+                    op_pair: OpPair, *,
+                    transposed: bool = False) -> AssociativeArray:
+    """The generic sparse fold of ``a ⊕.⊗ b`` — or, with
+    ``transposed=True``, of ``aᵀ ⊕.⊗ b``, reading ``a(k, r)`` as
+    ``aᵀ(r, k)`` so that the transposed array is never built."""
+    inner, out_rows = (a.row_keys, a.col_keys) if transposed \
+        else (a.col_keys, a.row_keys)
     # Row-major view of A with inner keys ordered, and row-major view of B.
     inner_pos = inner.position_map()
     a_rows: Dict[Any, List[Tuple[int, Any, Any]]] = {}
     for (r, k), v in a.to_dict().items():
+        if transposed:
+            r, k = k, r
         a_rows.setdefault(r, []).append((inner_pos[k], k, v))
     for terms in a_rows.values():
         terms.sort(key=lambda t: t[0])
@@ -211,7 +229,6 @@ def multiply_generic(
     # Accumulate per-(row, col) term lists; iterating A's row entries in
     # ascending inner-key order keeps each term list fold-ordered.
     out: Dict[Tuple[Any, Any], Any] = {}
-    started: Dict[Tuple[Any, Any], bool] = {}
     mul = op_pair.mul
     add = op_pair.add
     for r, row_terms in a_rows.items():
@@ -219,15 +236,11 @@ def multiply_generic(
             for c, bv in b_rows.get(k, ()):
                 term = mul(av, bv)
                 rc = (r, c)
-                if rc in started:
-                    out[rc] = add(out[rc], term)
-                else:
-                    out[rc] = term
-                    started[rc] = True
+                out[rc] = add(out[rc], term) if rc in out else term
     data = {rc: v for rc, v in out.items()
             if not op_pair.is_zero(v)}
-    return AssociativeArray(data, row_keys=a.row_keys, col_keys=b.col_keys,
-                            zero=zero,
+    return AssociativeArray(data, row_keys=out_rows, col_keys=b.col_keys,
+                            zero=op_pair.zero,
                             backend="dict" if a.pinned and b.pinned
                             else "auto")
 

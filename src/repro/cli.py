@@ -169,11 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=["rows", "cols"],
                            help="plan a trailing ⊕-reduction (shows "
                                 "reduction-into-matmul fusion)")
-    p_explain.add_argument("--budget", type=int, default=None,
-                           metavar="BYTES",
-                           help="memory budget; fused products whose "
-                                "estimated working set exceeds it route "
-                                "through the out-of-core shard executor")
     p_explain.add_argument("--no-optimize", action="store_true",
                            help="plan the expression exactly as written "
                                 "(no rewrites)")
@@ -355,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "epoch_published, rewrite_refused, "
                                "shard_spill, cache_invalidation, "
                                "expr.kernel, profile.start, "
-                               "profile.stop, http.log")
+                               "profile.stop, http.log, http.error")
     p_events.add_argument("--limit", type=int, default=None,
                           help="keep only the newest LIMIT events")
     p_events.add_argument("--follow", action="store_true",
@@ -553,8 +548,7 @@ def _cmd_explain(args) -> int:
     elif args.reduce == "cols":
         expr = expr.reduce_cols(pair.add)
     try:
-        the_plan = plan(expr, optimize_plan=not args.no_optimize,
-                        memory_budget=args.budget)
+        the_plan = plan(expr, optimize_plan=not args.no_optimize)
     except ValueError as exc:
         print(f"planning failed: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,7 @@ from typing import Any, FrozenSet, Tuple
 
 from repro.arrays import matmul
 from repro.arrays.associative import AssociativeArray
-from repro.arrays.matmul import MatmulError, multiply
+from repro.arrays.matmul import MatmulError
 from repro.graphs.digraph import EdgeKeyedDigraph
 from repro.values.semiring import OpPair
 
@@ -48,16 +48,20 @@ def _transposed_product(
 ) -> AssociativeArray:
     """``eᵀ ⊕.⊗ f`` with the kernel ``multiply(e.transpose(), f)`` picks.
 
-    On the ``sortmerge`` route ``e``'s own (edge, vertex)-sorted COO
-    arrays are ``eᵀ``'s CSC order, so they go to the kernel as they
-    stand: neither the transpose nor a CSC index is built.  Every other
-    kernel multiplies ``e.transpose()`` as before.
+    The shared edge key set is checked once, here.  In sparse mode two
+    routes read ``e(k, r)`` as ``eᵀ(r, k)`` and build no transpose: the
+    generic fold, and ``sortmerge``, which takes ``e``'s own
+    (edge, vertex)-sorted COO arrays as ``eᵀ``'s CSC order without
+    building a CSC index.  Every other kernel multiplies
+    ``e.transpose()``.
     """
     from repro.arrays.sparse_backend import vectorizable
     _check_shared_edges(e, f)
     if kernel == "auto":
         kernel = matmul._pick_kernel(e, f, op_pair, mode, transposed=True)
-    if kernel == "sortmerge" and mode == "sparse" \
+    if mode == "sparse" and kernel == "generic":
+        return matmul._generic_sparse(e, f, op_pair, transposed=True)
+    if mode == "sparse" and kernel == "sortmerge" \
             and vectorizable(e, f, op_pair):
         ne = e.numeric_backend()
         nf = f.numeric_backend()
@@ -66,7 +70,7 @@ def _transposed_product(
         return AssociativeArray._from_numeric(
             rows, cols, vals, row_keys=e.col_keys, col_keys=f.col_keys,
             zero=op_pair.zero, presorted=True, filtered=True)
-    return multiply(e.transpose(), f, op_pair, mode=mode, kernel=kernel)
+    return matmul._dispatch(e.transpose(), f, op_pair, mode, kernel)
 
 
 def adjacency_array(

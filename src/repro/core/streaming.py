@@ -27,7 +27,7 @@ the docstring of :meth:`remove_edge` records.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.arrays.associative import AssociativeArray
 from repro.arrays.backend import (
@@ -38,9 +38,13 @@ from repro.arrays.backend import (
 from repro.arrays.keys import KeySet
 from repro.core.certify import certify
 from repro.graphs.digraph import EdgeKeyedDigraph, GraphError
+from repro.values.domains import DomainError
 from repro.values.semiring import OpPair
 
 __all__ = ["StreamingAdjacencyBuilder"]
+
+#: Marks a cell that held no value before an edge folded into it.
+_ABSENT = object()
 
 
 class StreamingAdjacencyBuilder:
@@ -79,6 +83,9 @@ class StreamingAdjacencyBuilder:
                 + self._certification.criteria.describe())
         self._edges: Dict[Any, Tuple[Any, Any, Any, Any]] = {}
         self._acc: Dict[Tuple[Any, Any], Any] = {}
+        #: ``(key, cell, value before)`` per edge of the
+        #: :meth:`add_edges` batch in progress, to take them out again.
+        self._journal: Optional[List[Tuple[Any, Any, Any]]] = None
 
     # -- properties ------------------------------------------------------
     @property
@@ -105,34 +112,76 @@ class StreamingAdjacencyBuilder:
         """Insert one edge and fold its term into ``A(src, dst)``.
 
         ``out_value``/``in_value`` default to the op-pair's one; both must
-        be nonzero (Definition I.4).
+        be nonzero elements of its value set V (Definition I.4).  The
+        edge is checked before anything is stored: a refused edge raises
+        :class:`~repro.graphs.digraph.GraphError` (an unhashable field, a
+        duplicate key, a zero value) or
+        :class:`~repro.values.domains.DomainError` (a value outside V),
+        both ``ValueError`` subclasses, and leaves the builder as it was.
         """
+        try:
+            hash((key, src, dst))
+        except TypeError:
+            for field, value in (("key", key), ("src", src), ("dst", dst)):
+                try:
+                    hash(value)
+                except TypeError:
+                    raise GraphError(
+                        f"{field} {value!r} is not hashable") from None
         if key in self._edges:
             raise GraphError(f"duplicate edge key {key!r}")
-        ov = self._pair.one if out_value is None else out_value
-        iv = self._pair.one if in_value is None else in_value
-        if self._pair.is_zero(ov) or self._pair.is_zero(iv):
-            raise GraphError(
-                f"incidence values for edge {key!r} must be nonzero")
-        self._edges[key] = (src, dst, ov, iv)
-        term = self._pair.multiply(ov, iv)
-        rc = (src, dst)
-        if rc in self._acc:
-            self._acc[rc] = self._pair.add(self._acc[rc], term)
-        else:
-            self._acc[rc] = term
-
-    def add_edges(self, triples) -> None:
-        """Insert ``(key, src, dst)`` or ``(key, src, dst, w_out, w_in)``
-        tuples in order."""
-        for item in triples:
-            if len(item) == 3:
-                self.add_edge(*item)
-            elif len(item) == 5:
-                self.add_edge(*item)
-            else:
+        pair = self._pair
+        ov = pair.one if out_value is None else out_value
+        iv = pair.one if in_value is None else in_value
+        for field, value in (("w_out", ov), ("w_in", iv)):
+            try:
+                pair.domain.validate(value)
+            except (DomainError, ArithmeticError, TypeError):
+                raise DomainError(
+                    f"{field} {value!r} is not an element of "
+                    f"{pair.domain.name}") from None
+            if pair.is_zero(value):
                 raise GraphError(
-                    f"expected 3- or 5-tuples, got {len(item)}-tuple")
+                    f"incidence values for edge {key!r} must be nonzero")
+        term = pair.multiply(ov, iv)
+        rc = (src, dst)
+        before = self._acc.get(rc, _ABSENT)
+        self._acc[rc] = term if before is _ABSENT \
+            else pair.add(before, term)
+        self._edges[key] = (src, dst, ov, iv)
+        if self._journal is not None:
+            self._journal.append((key, rc, before))
+
+    def add_edges(self, triples) -> int:
+        """Insert ``(key, src, dst)`` or ``(key, src, dst, w_out, w_in)``
+        tuples in order; returns the number inserted.
+
+        All or nothing: a refused edge raises a
+        :class:`~repro.graphs.digraph.GraphError` that names its index in
+        the batch, and the edges inserted before it are taken out again.
+        """
+        journal = self._journal = []
+        try:
+            for i, item in enumerate(triples):
+                try:
+                    if len(item) not in (3, 5):
+                        raise GraphError(
+                            f"expected 3- or 5-tuples, got "
+                            f"{len(item)}-tuple")
+                    self.add_edge(*item)
+                except Exception as exc:
+                    for key, rc, before in reversed(journal):
+                        del self._edges[key]
+                        if before is _ABSENT:
+                            del self._acc[rc]
+                        else:
+                            self._acc[rc] = before
+                    if isinstance(exc, ValueError):
+                        raise GraphError(f"edge {i}: {exc}") from exc
+                    raise
+        finally:
+            self._journal = None
+        return len(journal)
 
     def remove_edge(self, key: Any) -> None:
         """Remove an edge; the affected entry is **rebuilt**, not

@@ -8,9 +8,10 @@ algebraic preconditions are *verified* through the certification
 machinery before each application (:mod:`repro.expr.rewrite`), a cost
 model sizes every intermediate and picks kernels
 (:mod:`repro.expr.cost`), and the executor runs the optimized plan —
-fusing ``Eoutᵀ ⊕.⊗ Ein`` into a single incidence-to-adjacency kernel,
-sharing common subexpressions, and spilling oversized products to the
-out-of-core shard engine (:mod:`repro.expr.execute`).
+``Eoutᵀ ⊕.⊗ Ein`` fused into one
+:func:`~repro.core.construction.adjacency_array` call, every other
+product through :func:`~repro.arrays.matmul.multiply`, common
+subexpressions shared (:mod:`repro.expr.execute`).
 
 >>> from repro.expr import lazy, evaluate
 >>> from repro.values.semiring import get_op_pair

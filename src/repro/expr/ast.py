@@ -420,14 +420,13 @@ class Kron(Node):
 
 class IncidenceToAdjacency(Node):
     """The fused form of ``transpose(E) ⊕.⊗ F`` — the paper's
-    ``A = Eoutᵀ ⊕.⊗ Ein`` as a single kernel with no materialized
-    transpose.
+    ``A = Eoutᵀ ⊕.⊗ Ein`` as one call.
 
     Only the optimizer introduces this node (via the
     ``fuse_incidence_adjacency`` rewrite); the execution engine runs it
-    off ``E``'s cached CSC — which *is* ``Eᵀ``'s CSR — or, for plans
-    whose estimated intermediates exceed the memory budget, routes it
-    through the out-of-core :mod:`repro.shard` executor.
+    through :func:`~repro.core.construction.adjacency_array` on the
+    planned kernel, which builds no transpose on ``sortmerge`` or
+    ``generic`` and multiplies ``Eᵀ`` on ``scipy``.
     """
 
     __slots__ = ("op_pair", "mode")

@@ -18,15 +18,14 @@ every node
   how many bytes the materialized result (plus any kernel expansion
   buffer) will take.
 
-The estimates drive two real decisions: the executor passes the chosen
-kernel to :func:`repro.arrays.matmul.multiply` (validated against the
-actual operands at run time — predictions about *values* can be wrong,
-e.g. a numeric-zero array holding strings, and the engine then falls
-back to the generic path), and fused incidence-to-adjacency nodes whose
-estimated working set exceeds the plan's ``memory_budget`` are routed
-to the out-of-core :mod:`repro.shard` executor instead of in-memory
-evaluation.  Every estimate is a function of the plan's operands alone,
-so ``explain()`` prints the same transcript in every process.
+The estimates drive one real decision: the executor passes the chosen
+kernel to :func:`repro.arrays.matmul.multiply`, or to
+:func:`repro.core.construction.adjacency_array` for a fused node,
+validated against the actual operands at run time (predictions about
+*values* can be wrong, e.g. a numeric-zero array holding strings, and
+the engine then falls back to the generic path).  The sizes only feed
+the transcript.  Every estimate is a function of the plan's operands
+alone, so ``explain()`` prints the same transcript in every process.
 """
 
 from __future__ import annotations

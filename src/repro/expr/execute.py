@@ -4,29 +4,25 @@
 rewrites (:mod:`repro.expr.rewrite`), then the cost model
 (:mod:`repro.expr.cost`) — and returns a :class:`Plan`: the optimized
 DAG, every applied/refused rewrite with the property evidence that
-decided it, per-node cost annotations, and the nodes routed to the
-out-of-core shard executor.  :func:`evaluate` executes a plan;
-:func:`explain` renders its transcript without executing.
+decided it, and per-node cost annotations.  :func:`evaluate` executes a
+plan; :func:`explain` renders its transcript without executing.
 
 Execution is a memoised post-order walk: shared nodes (hop chains
 ``A·A·…`` after common-subexpression elimination, reused sub-queries)
 evaluate once.  Vector queries (k-hop, path lengths) are not planned:
-they step through :mod:`repro.graphs.algorithms`.  Products honour
-the cost model's kernel choice, validated against the actual operands
-at run time; fused
-:class:`~repro.expr.ast.IncidenceToAdjacency` nodes never materialize
-the transposed array on the sparse kernels: ``sortmerge`` takes
-:func:`~repro.core.construction.adjacency_array`'s transpose-free
-route, ``scipy`` contracts ``Eᵀ·F`` itself, and ``generic`` runs a
-fused loop; a :class:`~repro.shard.plan.ShardedAdjacencyPlan` takes
-plans whose estimated working set exceeds the memory budget.
+they step through :mod:`repro.graphs.algorithms`.  The engine builds
+nothing of its own: every product runs
+:func:`~repro.arrays.matmul.multiply` and every fused
+:class:`~repro.expr.ast.IncidenceToAdjacency` node runs
+:func:`~repro.core.construction.adjacency_array`, each on the cost
+model's kernel, validated against the actual operands at run time.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Tuple
 
 from repro.arrays.associative import AssociativeArray
 from repro.arrays.elementwise import elementwise_apply
@@ -62,7 +58,6 @@ from repro.expr.rewrite import (
     optimize,
 )
 from repro.values.properties import DEFAULT_SAMPLES
-from repro.values.semiring import OpPair
 
 __all__ = ["Plan", "plan", "evaluate", "explain"]
 
@@ -76,9 +71,6 @@ class Plan:
     applied: List[AppliedRewrite]
     refused: List[RefusedRewrite]
     estimates: Dict[int, CostEstimate]
-    shard_nodes: Tuple[int, ...] = ()
-    memory_budget: Optional[int] = None
-    options: Dict[str, Any] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     @property
@@ -119,10 +111,7 @@ class Plan:
                      f"({root_est.stored})")
         lines.append(head)
         lines.append(f"nodes: {self.node_count}   peak working set: "
-                     f"~{_fmt_bytes(self.peak_bytes)}"
-                     + (f"   memory budget: "
-                        f"{_fmt_bytes(self.memory_budget)}"
-                        if self.memory_budget is not None else ""))
+                     f"~{_fmt_bytes(self.peak_bytes)}")
         if self.applied:
             lines.append("applied rewrites:")
             for i, rw in enumerate(self.applied, 1):
@@ -185,8 +174,6 @@ class Plan:
                 if est.kernel != "-":
                     parts.append(f"kernel={est.kernel}")
                 parts.append(f"~{_fmt_bytes(est.working_bytes)}")
-            if id(node) in self.shard_nodes:
-                parts.append("→ shard executor (over budget)")
             return "  ".join(parts)
 
         # Explicit stack (a deep hop chain must render without hitting
@@ -220,9 +207,7 @@ def _fmt_count(x: float) -> str:
     return f"{x:.0f}"
 
 
-def _fmt_bytes(x: Optional[float]) -> str:
-    if x is None:
-        return "∞"
+def _fmt_bytes(x: float) -> str:
     for unit in ("B", "KiB", "MiB", "GiB"):
         if x < 1024 or unit == "GiB":
             return f"{x:.1f} {unit}" if unit != "B" else f"{x:.0f} B"
@@ -236,18 +221,11 @@ def plan(
     optimize_plan: bool = True,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0xD4,
-    memory_budget: Optional[int] = None,
-    shard_options: Optional[Dict[str, Any]] = None,
 ) -> Plan:
     """Optimize and cost ``expr`` (a :class:`LazyArray`, node, or array).
 
     ``optimize_plan=False`` skips the rewrite pipeline (the eager
     evaluation order, node for node) but still costs the DAG.
-    ``memory_budget`` (bytes) routes fused incidence-to-adjacency nodes
-    whose estimated working set exceeds it through the out-of-core
-    shard executor; ``shard_options`` are extra
-    :class:`~repro.shard.plan.ShardedAdjacencyPlan` keywords for that
-    path.
     """
     started = time.perf_counter()
     source = lazy(expr).node
@@ -275,25 +253,8 @@ def plan(
     registry.histogram(
         "expr_plan_seconds", "Wall time of plan() (rewrites + costing)"
     ).observe(time.perf_counter() - started)
-    shard_nodes: List[int] = []
-    if memory_budget is not None:
-        for node in topological_order(root):
-            if not isinstance(node, IncidenceToAdjacency):
-                continue
-            est = estimates[id(node)]
-            if est.working_bytes <= memory_budget:
-                continue
-            # Out-of-core construction re-partitions the edge fold, so
-            # it needs the same license as the shard engine proper.
-            ok_crit, _ = gate.criteria(node.op_pair)
-            ok_add, _ = gate.add_associative_commutative(node.op_pair)
-            if ok_crit and ok_add:
-                shard_nodes.append(id(node))
     return Plan(root=root, source=source, applied=applied,
-                refused=refused, estimates=estimates,
-                shard_nodes=tuple(shard_nodes),
-                memory_budget=memory_budget,
-                options=dict(shard_options or {}))
+                refused=refused, estimates=estimates)
 
 
 def evaluate(expr: Any, *, optimize: bool = True, **options: Any
@@ -301,7 +262,7 @@ def evaluate(expr: Any, *, optimize: bool = True, **options: Any
     """Optimize, cost, and execute ``expr``; returns the result array.
 
     Keyword options are forwarded to :func:`plan` (``samples``,
-    ``seed``, ``memory_budget``, ``shard_options``).
+    ``seed``).
     """
     if isinstance(expr, Plan):
         return expr.execute()
@@ -351,11 +312,8 @@ class _Executor:
         children = [self.results[id(c)] for c in node.children]
         if isinstance(node, Transpose):
             return children[0].transpose()
-        if isinstance(node, MatMul):
-            return self._matmul(node, children[0], children[1])
-        if isinstance(node, IncidenceToAdjacency):
-            return self._incidence_to_adjacency(node, children[0],
-                                                children[1])
+        if isinstance(node, (MatMul, IncidenceToAdjacency)):
+            return self._product(node, children[0], children[1])
         if isinstance(node, Elementwise):
             return elementwise_apply(children[0], children[1], node.op,
                                      zero=node.result_zero)
@@ -385,92 +343,43 @@ class _Executor:
                 return "generic"
         return kernel
 
-    @staticmethod
-    def _empty_product(node, a: AssociativeArray,
-                       b: AssociativeArray) -> Optional[AssociativeArray]:
-        """O(1) short-circuit: a sparse product with an empty operand
-        has no multiplicative terms — valid for *every* algebra, and
-        what keeps a long hop chain cheap after its frontier empties
-        (static dead-branch pruning cannot see runtime emptiness)."""
+    def _product(self, node: Node, a: AssociativeArray,
+                 b: AssociativeArray) -> AssociativeArray:
+        """Run one product node on the planned kernel:
+        :func:`~repro.arrays.matmul.multiply` for a :class:`MatMul`,
+        :func:`~repro.core.construction.adjacency_array` for a fused
+        :class:`IncidenceToAdjacency` node.
+
+        A sparse product with an empty operand has no multiplicative
+        terms in *every* algebra, so it returns an empty array in O(1):
+        that keeps a long hop chain cheap after its frontier empties,
+        which static dead-branch pruning cannot see.  Otherwise the
+        product's wall time goes on the ``expr_kernel_seconds``
+        histogram and the active trace, and an ``expr.kernel`` event
+        records which kernel ran, for which op-pair, over how many
+        estimated terms, so every routing decision is auditable after
+        the fact.
+        """
         if node.mode == "sparse" and (a.nnz == 0 or b.nnz == 0):
             return AssociativeArray.empty(node.row_keys, node.col_keys,
                                           zero=node.zero)
-        return None
-
-    def _timed_product(self, node: Node, kernel: str, fn):
-        """Run one product; record its wall time on the
-        ``expr_kernel_seconds`` histogram, the active trace, and the
-        event log.
-
-        The event makes every routing decision auditable after the
-        fact: which kernel actually ran, for which op-pair, over how
-        many estimated multiplicative terms — not inferred from
-        aggregate metrics.
-        """
-        est = self.plan.estimates.get(id(node))
-        terms = est.flops if est is not None else 0.0
+        kernel = self._kernel_for(node, a, b)
+        build = adjacency_array if isinstance(node, IncidenceToAdjacency) \
+            else multiply
         with span("kernel", kernel=kernel):
             started = time.perf_counter()
-            result = fn()
+            result = build(a, b, node.op_pair, mode=node.mode,
+                           kernel=kernel)
             elapsed = time.perf_counter() - started
         get_registry().histogram(
             "expr_kernel_seconds", "Wall time of one product kernel call",
             kernel=kernel).observe(elapsed)
-        pair = getattr(node, "op_pair", None)
+        est = self.plan.estimates.get(id(node))
         emit_event("expr.kernel", kernel=kernel,
-                   op_pair=pair.name if pair is not None else "-",
-                   terms=terms, seconds=elapsed, node=node.kind)
+                   op_pair=node.op_pair.name,
+                   terms=est.flops if est is not None else 0.0,
+                   seconds=elapsed, node=node.kind)
         return result
-
-    def _matmul(self, node: MatMul, a: AssociativeArray,
-                b: AssociativeArray) -> AssociativeArray:
-        empty = self._empty_product(node, a, b)
-        if empty is not None:
-            return empty
-        kernel = self._kernel_for(node, a, b)
-        return self._timed_product(
-            node, kernel,
-            lambda: multiply(a, b, node.op_pair, mode=node.mode,
-                             kernel=kernel))
-
-    def _incidence_to_adjacency(
-        self, node: IncidenceToAdjacency,
-        e: AssociativeArray, f: AssociativeArray,
-    ) -> AssociativeArray:
-        empty = self._empty_product(node, e, f)
-        if empty is not None:
-            return empty
-        if id(node) in self.plan.shard_nodes:
-            return self._sharded(node, e, f)
-        kernel = self._kernel_for(node, e, f)
-        if node.mode == "sparse" and kernel == "generic":
-            return self._timed_product(
-                node, kernel, lambda: _fused_generic(e, f, node.op_pair))
-        if kernel == "scipy":
-            # ⊕.⊗ = +.×: hand both CSR forms to scipy and let its O(nnz)
-            # counting transpose contract ``saᵀ·sb`` — no transposed
-            # array, no comparison sort.
-            ne, nf = e.numeric_backend(), f.numeric_backend()
-            return self._timed_product(
-                node, kernel, lambda: _fused_scipy(node, ne, nf, e, f))
-        return self._timed_product(
-            node, kernel,
-            lambda: adjacency_array(e, f, node.op_pair, mode=node.mode,
-                                    kernel=kernel))
-
-    def _sharded(self, node: IncidenceToAdjacency, e: AssociativeArray,
-                 f: AssociativeArray) -> AssociativeArray:
-        from repro.shard.plan import ShardedAdjacencyPlan
-        options = dict(self.plan.options)
-        options.setdefault("n_shards", 4)
-        options.setdefault("executor", "thread")
-        # The planner already licensed the pair (criteria + order-
-        # insensitive ⊕); re-certifying per shard run would be waste.
-        options["unsafe_ok"] = True
-        shard_plan = ShardedAdjacencyPlan(node.op_pair, **options)
-        with span("shard.offload", n_shards=options["n_shards"],
-                  executor=options["executor"]):
-            return shard_plan.run((e, f)).adjacency
 
     # -- reductions ----------------------------------------------------------
     @staticmethod
@@ -485,67 +394,3 @@ class _Executor:
         data = {(REDUCE_KEY, c): v for c, v in folded.items()}
         return AssociativeArray(data, row_keys=[REDUCE_KEY],
                                 col_keys=array.col_keys, zero=array.zero)
-
-
-def _fused_scipy(node: IncidenceToAdjacency, ne, nf,
-                 e: AssociativeArray, f: AssociativeArray
-                 ) -> AssociativeArray:
-    """``Eᵀ·F`` for the arithmetic semiring, fully inside scipy.
-
-    ``sa.T`` is a free CSC view of ``E``'s CSR, and scipy's SpGEMM
-    converts it with a linear-time counting transpose — cheaper than
-    materializing our lex-sorted CSC permutation first.  The product's
-    CSR arrays are adopted as the result backend.
-    """
-    import scipy.sparse as sp
-    from repro.arrays.backend import NumericBackend
-    sa = sp.csr_matrix(ne.csr(), shape=ne.shape)
-    sb = sp.csr_matrix(nf.csr(), shape=nf.shape)
-    sc = (sa.T @ sb).tocsr()
-    sc.eliminate_zeros()
-    sc.sort_indices()
-    be = NumericBackend.from_csr(sc.data, sc.indices, sc.indptr, sc.shape)
-    return AssociativeArray._adopt(be, e.col_keys, f.col_keys,
-                                   node.op_pair.zero)
-
-
-def _fused_generic(e: AssociativeArray, f: AssociativeArray,
-                   op_pair: OpPair) -> AssociativeArray:
-    """Generic fused ``Eᵀ ⊕.⊗ F`` for arbitrary value sets.
-
-    The body of :func:`repro.arrays.matmul.multiply_generic` reading
-    ``E`` transposed on the fly — the dict of the transposed array is
-    never built.  Fold order follows the shared edge-key order exactly
-    as the unfused evaluation does.
-    """
-    zero = op_pair.zero
-    inner = e.row_keys            # the shared edge key set K
-    inner_pos = inner.position_map()
-    a_rows: Dict[Any, List[Tuple[int, Any, Any]]] = {}
-    for (k, r), v in e.to_dict().items():   # read E(k, r) as Eᵀ(r, k)
-        a_rows.setdefault(r, []).append((inner_pos[k], k, v))
-    for terms in a_rows.values():
-        terms.sort(key=lambda t: t[0])
-    b_rows: Dict[Any, List[Tuple[Any, Any]]] = {}
-    for (k, c), v in f.to_dict().items():
-        b_rows.setdefault(k, []).append((c, v))
-
-    out: Dict[Tuple[Any, Any], Any] = {}
-    started: Dict[Tuple[Any, Any], bool] = {}
-    mul = op_pair.mul
-    add = op_pair.add
-    for r, row_terms in a_rows.items():
-        for _pos, k, av in row_terms:
-            for c, bv in b_rows.get(k, ()):
-                term = mul(av, bv)
-                rc = (r, c)
-                if rc in started:
-                    out[rc] = add(out[rc], term)
-                else:
-                    out[rc] = term
-                    started[rc] = True
-    data = {rc: v for rc, v in out.items() if not op_pair.is_zero(v)}
-    return AssociativeArray(data, row_keys=e.col_keys, col_keys=f.col_keys,
-                            zero=zero,
-                            backend="dict" if e.pinned and f.pinned
-                            else "auto")

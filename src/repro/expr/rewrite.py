@@ -22,10 +22,11 @@ construction gate and becomes the query optimizer's license database:
     non-commutative ⊗ (``max.concat``) is exactly the refusal case.
 
 ``fuse_incidence_adjacency``
-    ``Eᵀ ⊕.⊗ F → incidence_to_adjacency(E, F)`` — one fused kernel, no
-    materialized transpose.  Requires the **Theorem II.1 criteria**:
-    the fused kernel commits to sparse evaluation, and sparse ≡ faithful
-    is precisely what the criteria certify.
+    ``Eᵀ ⊕.⊗ F → incidence_to_adjacency(E, F)`` — one
+    ``adjacency_array`` call, with no materialized transpose on the
+    ``sortmerge`` and ``generic`` kernels.  Requires the **Theorem II.1
+    criteria**: the fused kernel commits to sparse evaluation, and
+    sparse ≡ faithful is precisely what the criteria certify.
 
 ``reduce_into_matmul``
     ``reduce(A ⊕.⊗ B) → A ⊕.⊗ reduce(B)`` (and the column-axis dual) —

@@ -42,7 +42,9 @@ whole handler → cache → kernel path of one HTTP request is a single
 trace tree.
 
 Errors come back as JSON bodies ``{"error": ..., "status": ...}`` —
-400 for malformed requests, 404 for unknown routes/kinds/vertices.
+400 for malformed requests (a refused edge batch names the edge's index
+and the bad field), 404 for unknown routes/kinds/vertices, and 500, plus
+an ``http.error`` event on the ring, for any other handler exception.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
@@ -163,6 +166,15 @@ class _Handler(BaseHTTPRequestHandler):
     def _error(self, status: int, message: str) -> None:
         self._send(status, {"error": message, "status": status})
 
+    def _fault(self, exc: Exception) -> None:
+        """Answer an unexpected handler exception with a JSON 500 and
+        an ``http.error`` event carrying its traceback, not a dropped
+        connection."""
+        error = f"{type(exc).__name__}: {exc}"
+        emit_event("http.error", method=self.command, path=self.path,
+                   error=error, traceback=traceback.format_exc())
+        self._error(500, f"internal error: {error}")
+
     def _body(self) -> Optional[Dict[str, Any]]:
         try:
             length = int(self.headers.get("Content-Length", "0"))
@@ -244,6 +256,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, str(exc))
         except ServeError as exc:
             self._error(400, str(exc))
+        except Exception as exc:
+            self._fault(exc)
         finally:
             self._observe(path, "GET", started)
 
@@ -367,8 +381,10 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             self._error(404, f"unknown path {path!r}")
         except (ServeError, ValueError) as exc:
-            # GraphError (duplicate keys, zero values) is a ValueError.
+            # A refused edge (GraphError, DomainError) is a ValueError.
             self._error(400, str(exc))
+        except Exception as exc:
+            self._fault(exc)
         finally:
             self._observe(path, "POST", started)
 
@@ -399,10 +415,10 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(edges, list):
             self._error(400, 'body must carry an "edges" list')
             return
-        for edge in edges:
+        for i, edge in enumerate(edges):
             if not isinstance(edge, list) or len(edge) not in (3, 5):
                 self._error(
-                    400, "each edge must be [key, src, dst] or "
+                    400, f"edge {i}: each edge must be [key, src, dst] or "
                     "[key, src, dst, w_out, w_in]")
                 return
         buffered = self.service.add_edges(tuple(e) for e in edges)

@@ -48,7 +48,6 @@ from repro.graphs.algorithms import (
     semiring_khop,
     shortest_path_lengths,
 )
-from repro.graphs.digraph import GraphError
 from repro.obs.events import emit_event
 from repro.obs.metrics import LATENCY_BUCKETS_WIDE, MetricsRegistry
 from repro.obs.profile import heap_delta
@@ -310,30 +309,32 @@ class AdjacencyService:
 
         Semantics are exactly :meth:`StreamingAdjacencyBuilder.add_edge`
         (``A(src, dst) ⊕= w_out ⊗ w_in``); edge keys must be unique
-        within a publication batch.  Readers see nothing until
-        :meth:`publish`.
+        within a publication batch.  A refused edge buffers nothing.
+        Readers see nothing until :meth:`publish`.
         """
         with self._write_lock:
-            if self._delta is None:
-                # The service gate already certified the pair; the
-                # builder's own gate is skipped rather than re-run per
-                # epoch.
-                self._delta = StreamingAdjacencyBuilder(
-                    self._pair, unsafe_ok=True)
-            self._delta.add_edge(key, src, dst, out_value, in_value)
+            self._pending().add_edge(key, src, dst, out_value, in_value)
 
     def add_edges(self, items: Any) -> int:
         """Buffer ``(key, src, dst[, w_out, w_in])`` tuples; returns the
-        number buffered."""
-        n = 0
+        number buffered.
+
+        All or nothing, as :meth:`StreamingAdjacencyBuilder.add_edges`:
+        a refused edge raises an error naming its index in the batch,
+        and none of the batch is buffered.
+        """
         with self._write_lock:
-            for item in items:
-                if len(item) not in (3, 5):
-                    raise GraphError(
-                        f"expected 3- or 5-tuples, got {len(item)}-tuple")
-                self.add_edge(*item)
-                n += 1
-        return n
+            return self._pending().add_edges(items)
+
+    def _pending(self) -> StreamingAdjacencyBuilder:
+        """The delta builder of the next epoch (callers hold the write
+        lock)."""
+        if self._delta is None:
+            # The service gate already certified the pair; the builder's
+            # own gate is skipped rather than re-run per epoch.
+            self._delta = StreamingAdjacencyBuilder(self._pair,
+                                                    unsafe_ok=True)
+        return self._delta
 
     def publish(self) -> int:
         """Fold the buffered delta into the next epoch and swap it in.

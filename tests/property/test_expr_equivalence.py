@@ -110,15 +110,6 @@ for _name in SAFE_NUMERIC_PAIRS:
 del _name
 
 
-@settings(max_examples=15, **COMMON)
-@given(expr=expression_trees("plus_times", max_depth=3))
-def test_memory_budget_never_changes_results(expr):
-    """Routing over-budget fused products through the shard executor is
-    an execution detail, not a semantics change."""
-    assert evaluate(expr, optimize=True, memory_budget=1) == \
-        evaluate(expr, optimize=False)
-
-
 def _make_uncertified_test(name: str):
     pair = get_op_pair(name)
     if not isinstance(pair.zero, (int, float)) \

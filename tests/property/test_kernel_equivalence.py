@@ -39,7 +39,7 @@ def _make_dense_test(name: str):
         ref = multiply_generic(a, b, pair, mode="dense")
         got = multiply_vectorized(a, b, pair, kernel="dense_blocked",
                                   mode="dense")
-        assert got.allclose(ref)
+        assert got == ref
 
     _test.__name__ = f"test_dense_blocked_{name}"
     return _test
@@ -55,7 +55,7 @@ def _make_cross_mode_test(name: str):
         sparse = multiply_vectorized(a, b, pair, kernel="sortmerge")
         dense = multiply_vectorized(a, b, pair, kernel="dense_blocked",
                                     mode="dense")
-        assert sparse.allclose(dense)
+        assert sparse == dense
 
     _test.__name__ = f"test_cross_mode_{name}"
     return _test
@@ -74,4 +74,4 @@ def test_scipy_matches_generic(ab):
     pair = get_op_pair("plus_times")
     ref = multiply_generic(a, b, pair, mode="sparse")
     got = multiply_vectorized(a, b, pair, kernel="scipy")
-    assert got.allclose(ref)
+    assert got == ref

@@ -220,11 +220,6 @@ class TestExplain:
         assert main(["explain", po, pi, "--reduce", "rows"]) == 0
         assert "reduce_into_matmul" in capsys.readouterr().out
 
-    def test_explain_budget_routes_to_shard(self, tmp_path, capsys):
-        po, pi = self._incidence_pair(tmp_path)
-        assert main(["explain", po, pi, "--budget", "1"]) == 0
-        assert "shard executor" in capsys.readouterr().out
-
     def test_explain_no_optimize_keeps_shape(self, tmp_path, capsys):
         po, pi = self._incidence_pair(tmp_path)
         assert main(["explain", po, pi, "--no-optimize"]) == 0

@@ -129,10 +129,13 @@ class TestCorrelate:
 
 class TestTransposeFreeRoute:
     """``adjacency_array`` hands ``Eout``'s own COO arrays to sortmerge
-    as ``Eoutᵀ``'s CSC; every other route keeps multiplying
+    as ``Eoutᵀ``'s CSC, and its generic fold reads ``Eout(k, r)`` as
+    ``Eoutᵀ(r, k)``; the scipy and dense routes keep multiplying
     ``Eout.transpose()``.  The kernel decision is the transposed
-    product's, and an expression plan names the kernel that runs and
-    the backend its result is stored on."""
+    product's.  An expression plan runs its fused node through
+    ``adjacency_array`` itself: it names the kernel that runs, the
+    backend its result is stored on, and returns ``adjacency_array``'s
+    result."""
 
     @staticmethod
     def _weighted(pair, n_edges, seed=3):
@@ -159,6 +162,23 @@ class TestTransposeFreeRoute:
         monkeypatch.setattr(NumericBackend, "csc", refuse)
         assert adjacency_array(eout, ein, pair) == forward
         assert reverse_adjacency_array(eout, ein, pair) == backward
+
+    @pytest.mark.parametrize("name", ["min_plus", "plus_times"])
+    def test_generic_kernel_builds_no_transpose(self, monkeypatch, name):
+        from repro.arrays.matmul import multiply_generic
+        pair = get_op_pair(name)
+        eout, ein = (a.with_backend("dict")
+                     for a in self._weighted(pair, 40))
+        forward = multiply_generic(eout.transpose(), ein, pair)
+        backward = multiply_generic(ein.transpose(), eout, pair)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the generic route must not transpose")
+
+        monkeypatch.setattr(AssociativeArray, "transpose", refuse)
+        assert adjacency_array(eout, ein, pair, kernel="generic") == forward
+        assert reverse_adjacency_array(eout, ein, pair,
+                                       kernel="generic") == backward
 
     def test_tiny_dict_operands_stay_generic_with_int_values(
             self, small_graph):
@@ -193,12 +213,15 @@ class TestTransposeFreeRoute:
         return e, f
 
     @staticmethod
-    def _planned_run_and_eager(expr, a, b, pair, *, transposed):
+    def _planned_run_and_eager(expr, e, f, pair, *, fused):
         """The plan's kernel for the product, the kernel the
-        ``expr.kernel`` event says ran, and eager ``_pick_kernel``.
+        ``expr.kernel`` event says ran, and eager ``_pick_kernel`` on
+        ``eᵀ ⊕.⊗ f`` (``fused``) or on ``e.transpose()`` times ``f``.
 
-        Checks on the way that the transcript's root line names, and its
-        byte estimate sizes, the backend the result is stored on."""
+        Checks on the way that the executed plan equals
+        ``adjacency_array(e, f)`` on the same backend, and that the
+        transcript's root line names, and its byte estimate sizes, the
+        backend the result is stored on."""
         from repro.arrays.matmul import _pick_kernel
         from repro.expr import plan
         from repro.expr.ast import topological_order
@@ -207,9 +230,14 @@ class TestTransposeFreeRoute:
         the_plan = plan(expr)
         (product,) = [n for n in topological_order(the_plan.root)
                       if n.kind in ("matmul", "incidence_to_adjacency")]
-        eager = _pick_kernel(a, b, pair, "sparse", transposed=transposed)
-        stored = the_plan.execute().backend
+        a = e if fused else e.transpose()
+        eager = _pick_kernel(a, f, pair, "sparse", transposed=fused)
+        result = the_plan.execute()
         (event,) = get_event_log().events(kind="expr.kernel", limit=1)
+        expected = adjacency_array(e, f, pair)
+        assert result == expected
+        stored = result.backend
+        assert stored == expected.backend
         head = the_plan.explain().splitlines()[0]
         assert head.endswith(f"entries ({stored})"), head
         root = the_plan.estimates[id(the_plan.root)]
@@ -228,7 +256,7 @@ class TestTransposeFreeRoute:
         e, f = self._operands(pair, n_edges, e_form, f_form)
         expr = lazy(e).T.matmul(lazy(f), pair)
         planned, ran, eager = self._planned_run_and_eager(
-            expr, e, f, pair, transposed=True)
+            expr, e, f, pair, fused=True)
         assert planned == ran == eager
 
     @pytest.mark.parametrize("fused", [True, False])
@@ -248,10 +276,9 @@ class TestTransposeFreeRoute:
                              zero=pair.zero)
         if form == "numeric":
             e, f = e.with_backend("numeric"), f.with_backend("numeric")
-        a = e if fused else e.transpose()
         expr = lazy(e).T.matmul(lazy(f), pair) if fused \
-            else lazy(a).matmul(lazy(f), pair)
-        kernels = self._planned_run_and_eager(expr, a, f, pair,
-                                              transposed=fused)
+            else lazy(e.transpose()).matmul(lazy(f), pair)
+        kernels = self._planned_run_and_eager(expr, e, f, pair,
+                                              fused=fused)
         vector = "scipy" if name == "plus_times" else "sortmerge"
         assert kernels == (("generic" if form == "dict" else vector),) * 3

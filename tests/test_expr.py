@@ -269,44 +269,6 @@ class TestCostAndExecution:
         assert "leaf 'Eout'" in text
         assert "kernel=scipy" in text
 
-    def test_memory_budget_routes_through_shard_executor(self):
-        eout, ein = _music_like(scale=8, edges=400)
-        expr = lazy(eout).T.matmul(lazy(ein), PAIR)
-        p = plan(expr, memory_budget=1)      # everything is over budget
-        assert p.shard_nodes
-        assert "shard executor" in p.explain()
-        assert p.execute() == adjacency_array(eout, ein, PAIR)
-
-    @pytest.mark.parametrize("name,edges", [("plus_times", 40),
-                                            ("gcd_lcm", 400)])
-    def test_memory_budget_sizes_a_generic_product_on_dict_storage(
-            self, name, edges):
-        # Numeric-capable operands, but the product runs the generic
-        # kernel (tiny operands; a pair without ufuncs), so its result
-        # is dict-backed and the budget sizes it at DICT_ENTRY_BYTES.
-        from repro.expr.cost import DICT_ENTRY_BYTES, NUMERIC_ENTRY_BYTES
-        pair = get_op_pair(name)
-        graph = rmat_multigraph(7, edges, seed=11)
-        weights = {k: 1 + (i % 7) for i, k in enumerate(graph.edge_keys)}
-        eout, ein = incidence_arrays(graph, zero=pair.zero,
-                                     out_values=weights, in_values=weights)
-        expr = lazy(eout).T.matmul(lazy(ein), pair)
-        free = plan(expr)
-        est = free.estimates[id(free.root)]
-        assert (est.backend, est.kernel) == ("numeric", "generic")
-        assert est.working_bytes == est.nnz * DICT_ENTRY_BYTES
-        assert not plan(expr, memory_budget=int(est.working_bytes)).shard_nodes
-        between = int(est.nnz * (NUMERIC_ENTRY_BYTES + DICT_ENTRY_BYTES) / 2)
-        p = plan(expr, memory_budget=between)
-        assert p.shard_nodes
-        assert p.execute() == adjacency_array(eout, ein, pair)
-
-    def test_memory_budget_respected_when_large_enough(self):
-        eout, ein = _music_like()
-        p = plan(lazy(eout).T.matmul(lazy(ein), PAIR),
-                 memory_budget=1 << 30)
-        assert not p.shard_nodes
-
     def test_pinned_operands_stay_generic(self):
         eout, ein = _music_like()
         expr = lazy(eout.with_backend("dict")).T.matmul(

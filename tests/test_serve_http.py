@@ -216,6 +216,46 @@ class TestErrors:
         status, doc = post(url, "/query/neighbors", {})
         assert status == 404
 
+    @pytest.mark.parametrize("bad,field", [
+        ([["x"], "a", "b"], "key"),
+        (["k", {"v": 1}, "b"], "src"),
+        (["k", "a", "b", "abc", 1.0], "w_out"),
+        (["k", "a", "b", -1.0, 1.0], "w_out"),
+        (["k", "a", "b", 1.0, 10 ** 400], "w_in"),
+    ], ids=["unhashable_key", "unhashable_vertex", "text_weight",
+            "zero_sum_pair", "huge_int_weight"])
+    def test_bad_edge_400_names_index_and_field(self, server, bad, field):
+        url, svc = server
+        post(url, "/edges", {"edges": [["p0", "a", "b", 1.0, 1.0]]})
+        status, doc = post(url, "/edges", {
+            "edges": [["g1", "a", "b", 2.0, 1.0], ["g2", "a", "c", 2.0, 1.0],
+                      bad], "publish": True})
+        assert status == 400 and doc["status"] == 400
+        assert doc["error"].startswith(f"edge 2: {field} "), doc
+        assert svc.pending_edges == 1 and svc.epoch == 1
+        status, doc = post(url, "/edges", {
+            "edges": [["g3", "a", "c", 2.0, 1.0]], "publish": True})
+        assert status == 200 and doc["epoch"] == 2 and doc["pending"] == 0
+        # The zero-sum pair never reaches an epoch: a keeps b.
+        _s, doc = get(url, "/query/neighbors", vertex="a")
+        assert doc["result"] == {"b": 1.0, "c": 2.0}
+
+    def test_handler_fault_is_json_500_with_event(self, server,
+                                                 monkeypatch):
+        from repro.obs.events import get_event_log
+        url, svc = server
+
+        def broken():
+            raise RuntimeError("disk on fire")
+        monkeypatch.setattr(svc, "publish", broken)
+        status, doc = post(url, "/publish")
+        assert status == 500 and doc["status"] == 500
+        assert "RuntimeError: disk on fire" in doc["error"]
+        (event,) = get_event_log().events(kind="http.error", limit=1)
+        assert event["path"] == "/publish"
+        assert "disk on fire" in event["error"]
+        assert "in broken" in event["traceback"]
+
 
 class TestIngest:
     def test_edges_then_publish(self, server):

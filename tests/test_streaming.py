@@ -65,6 +65,44 @@ class TestBasics:
             get_op_pair("skew_plus_times")).order_sensitive
 
 
+#: Edges the builder must refuse, by case: the edge and the field its
+#: refusal names.  The ``-1.0`` out-value would cancel an ``a → b``
+#: edge of out-value ``1.0``: Lemma II.2's zero-sum witness, outside
+#: ``+.×``'s value set (the non-negative reals).  An int past float
+#: range makes the domain check itself raise ``OverflowError``.
+BAD_EDGES = {
+    "unhashable_key": ((["x"], "a", "b"), "key"),
+    "unhashable_vertex": (("k", {"v": 1}, "b"), "src"),
+    "text_weight": (("k", "a", "b", "abc", 1.0), "w_out"),
+    "zero_sum_pair": (("k", "a", "b", -1.0, 1.0), "w_out"),
+    "huge_int_weight": (("k", "a", "b", 1.0, 10 ** 400), "w_in"),
+}
+
+
+class TestRefusals:
+    """A refused edge changes nothing: not the pending edges, not the
+    accumulator, and not the next good batch."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_EDGES))
+    def test_bad_edge_refused_before_any_state_changes(self, case):
+        bad, field = BAD_EDGES[case]
+        b = StreamingAdjacencyBuilder(get_op_pair("plus_times"))
+        b.add_edge("p0", "a", "b", 1.0, 1.0)
+        before = b.adjacency()
+        with pytest.raises(ValueError, match=f"^{field} "):
+            b.add_edge(*bad)
+        # The good edges before it fold into a held cell and a new one.
+        with pytest.raises(GraphError, match=f"^edge 2: {field} "):
+            b.add_edges([("g1", "a", "b", 2.0, 1.0),
+                         ("g2", "a", "c", 2.0, 1.0), bad])
+        assert b.num_edges == 1
+        assert b.adjacency() == before
+        assert b.add_edges([("g3", "a", "c", 2.0, 1.0)]) == 1
+        adj = b.adjacency()
+        assert (adj["a", "b"], adj["a", "c"]) == (1.0, 2.0)
+        assert adj == b.batch_adjacency()
+
+
 class TestEquivalenceWithBatch:
     @pytest.mark.parametrize("pair_name", [
         "plus_times", "max_times", "min_plus", "max_min", "or_and"])
